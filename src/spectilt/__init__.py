@@ -59,15 +59,23 @@ from .errors import (
     PoleOnAxisError,
     UnstableMapError,
 )
-from .runtime import (
-    AlphaMailbox,
-    GaussianSource,
-    StreamingFilter,
-    colored_noise,
-    pink_noise,
-)
 
 __version__ = "0.1.0"
+
+# The streaming runtime is the only layer that needs scipy, whose import costs
+# more than everything else here; load it on first use.
+_RUNTIME_NAMES = frozenset(
+    {"AlphaMailbox", "GaussianSource", "StreamingFilter", "colored_noise", "pink_noise"}
+)
+
+
+def __getattr__(name: str):
+    if name in _RUNTIME_NAMES:
+        from . import runtime
+
+        return getattr(runtime, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AboveNyquistError",

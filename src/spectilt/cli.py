@@ -8,6 +8,8 @@ float64 with no header; the sample rate always comes from a flag.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 
 import numpy as np
@@ -27,8 +29,7 @@ from .digitize import (
     coefficients_to_json,
     load_coefficients,
 )
-from .errors import FilterDesignError
-from .runtime import CONTROL_BLOCK, StreamingFilter, colored_noise
+from .errors import FilterDesignError, OutOfRangeError, StreamFormatError
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 1
@@ -123,67 +124,105 @@ def cmd_digitize(args) -> int:
     return 0
 
 
-def _stream_blocks(fh_in, fh_out, filt: StreamingFilter, schedule=None, fs: float = 0.0) -> None:
+def _write_samples(fh_out, samples: np.ndarray) -> None:
+    """Write raw little-endian float64 without copying samples already in that form."""
+    fh_out.write(np.ascontiguousarray(samples, dtype="<f8").data)
+
+
+def _partial_sample_error(n_bytes: int) -> StreamFormatError:
+    return StreamFormatError(f"input holds {n_bytes} bytes, which ends in a partial "
+                             "sample: raw streams are whole 8-byte float64 values")
+
+
+def _check_whole_samples(fh_in) -> None:
+    """Reject a regular input file that ends in a partial sample before any
+    output is written; pipes are checked at their tail by _stream_blocks."""
+    try:
+        info = os.fstat(fh_in.fileno())
+        remaining = info.st_size - fh_in.tell()
+    except OSError:  # not seekable, or no file descriptor at all
+        return
+    if stat.S_ISREG(info.st_mode) and remaining % 8:
+        raise _partial_sample_error(remaining)
+
+
+def _stream_blocks(fh_in, fh_out, filt, block: int, schedule, fs: float) -> None:
     """Pump raw float64 samples through the filter, updating the slope per
-    control block when a schedule is given."""
-    block = CONTROL_BLOCK if schedule is not None else STREAM_CHUNK
+    block when a schedule is given."""
     pos = 0
     while True:
         raw = fh_in.read(block * 8)
         if not raw:
             break
+        if len(raw) % 8:
+            raise _partial_sample_error(8 * pos + len(raw))
         x = np.frombuffer(raw, dtype="<f8")
         if schedule is not None:
             filt.set_alpha(schedule(pos / fs))
         y = filt.process(x)
-        fh_out.write(y.astype("<f8").tobytes())
+        _write_samples(fh_out, y)
         pos += len(x)
     fh_out.flush()
 
 
+def _parse_sweep(text: str):
+    """Schedule t -> alpha for 'a0:a1:seconds', checked whole before streaming."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise FilterDesignError("--alpha-sweep must look like a0:a1:seconds")
+    a0, a1, seconds = (float(p) for p in parts)
+    for end in (a0, a1):
+        if not -1.0 <= end <= 1.0:
+            raise OutOfRangeError(f"--alpha-sweep endpoints must lie in [-1, 1], got {end}")
+    if not seconds > 0.0:
+        raise FilterDesignError("sweep duration must be positive")
+
+    def schedule(t: float) -> float:
+        return a0 + (a1 - a0) * min(t / seconds, 1.0)
+
+    return schedule
+
+
 def cmd_apply(args) -> int:
+    from .runtime import CONTROL_BLOCK, StreamingFilter
+
     if (args.coeffs is None) == (args.design is None):
         raise FilterDesignError("give exactly one of --coeffs FILE or --design FILE")
     if args.design is not None and args.fs is None:
         raise FilterDesignError("--design needs --fs")
+    if args.alpha_sweep is not None and args.design is None:
+        raise FilterDesignError("--alpha-sweep needs --design (bare coefficients "
+                                "carry no pole-zero context)")
+    schedule = _parse_sweep(args.alpha_sweep) if args.alpha_sweep is not None else None
 
-    schedule = None
     fs = args.fs or 0.0
     if args.design is not None:
         design = load_design(args.design)
         filt = StreamingFilter.for_design(design, args.fs)
     else:
-        if args.alpha_sweep is not None:
-            raise FilterDesignError("--alpha-sweep needs --design (bare coefficients "
-                                    "carry no pole-zero context)")
         dfilt = load_coefficients(args.coeffs)
         filt = StreamingFilter(dfilt)
         fs = dfilt.sample_rate_hz
-
-    if args.alpha_sweep is not None:
-        parts = args.alpha_sweep.split(":")
-        if len(parts) != 3:
-            raise FilterDesignError("--alpha-sweep must look like a0:a1:seconds")
-        a0, a1, seconds = (float(p) for p in parts)
-        if seconds <= 0.0:
-            raise FilterDesignError("sweep duration must be positive")
-
-        def schedule(t: float, a0=a0, a1=a1, seconds=seconds) -> float:
-            return a0 + (a1 - a0) * min(t / seconds, 1.0)
+    block = CONTROL_BLOCK if schedule is not None else STREAM_CHUNK
 
     fh_in = open(args.input, "rb") if args.input not in (None, "-") else sys.stdin.buffer
-    fh_out = open(args.output, "wb") if args.output not in (None, "-") else sys.stdout.buffer
     try:
-        _stream_blocks(fh_in, fh_out, filt, schedule, fs)
+        _check_whole_samples(fh_in)
+        fh_out = open(args.output, "wb") if args.output not in (None, "-") else sys.stdout.buffer
+        try:
+            _stream_blocks(fh_in, fh_out, filt, block, schedule, fs)
+        finally:
+            if fh_out is not sys.stdout.buffer:
+                fh_out.close()
     finally:
         if fh_in is not sys.stdin.buffer:
             fh_in.close()
-        if fh_out is not sys.stdout.buffer:
-            fh_out.close()
     return 0
 
 
 def cmd_noise(args) -> int:
+    from .runtime import colored_noise
+
     samples = colored_noise(
         args.color,
         seed=args.seed,
@@ -193,7 +232,7 @@ def cmd_noise(args) -> int:
     )
     fh_out = open(args.output, "wb") if args.output not in (None, "-") else sys.stdout.buffer
     try:
-        fh_out.write(samples.astype("<f8").tobytes())
+        _write_samples(fh_out, samples)
         fh_out.flush()
     finally:
         if fh_out is not sys.stdout.buffer:

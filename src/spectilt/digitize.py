@@ -14,7 +14,7 @@ just below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,29 +146,17 @@ def _prewarp_values(values_rad_s: np.ndarray, c: float, fs_hz: float) -> np.ndar
     return -c * np.tan(half)
 
 
-def _scalar_log_mag(poles: np.ndarray, zeros: np.ndarray, log_gain: float, omega: float) -> float:
-    """ln |H(j omega)| by scalar accumulation; shared by digitization and modulation."""
-    w2 = omega * omega
-    out = log_gain
-    for z in zeros:
-        out += 0.5 * math.log(w2 + z * z)
-    for p in poles:
-        out -= 0.5 * math.log(w2 + p * p)
-    return out
+def _scalar_log_mag(roots: np.ndarray, omega: float) -> float:
+    """ln prod |j omega - root| over real roots; the log magnitude at omega is
+    the zero sum minus the pole sum plus the log gain."""
+    return 0.5 * float(np.log(omega * omega + roots * roots).sum())
 
 
 def _prewarp_zeros_clamped(zeros_rad_s: np.ndarray, c: float, fs_hz: float) -> np.ndarray:
     """Prewarp zeros, pinning any break that reaches fs/2 just below it."""
     clamp = -TWO_PI * ZERO_CLAMP_FRACTION * fs_hz
-    half = 0.5 * np.abs(zeros_rad_s) / fs_hz
-    out = np.empty_like(zeros_rad_s)
-    for i, x in enumerate(half):
-        if x >= 0.5 * math.pi:
-            out[i] = clamp
-            continue
-        zhat = -c * math.tan(x)
-        out[i] = clamp if zhat <= clamp else zhat
-    return out
+    half = np.abs(zeros_rad_s) / (2.0 * fs_hz)
+    return np.where(half < 0.5 * math.pi, np.maximum(-c * np.tan(half), clamp), clamp)
 
 
 @dataclass(frozen=True)
@@ -214,7 +202,8 @@ def _core_map(filt: AnalogFilter, params: DigitizationParams, band: BandSpec | N
             raise AboveNyquistError(f"band center {fc} Hz is not below fs/2")
         target = float(filt.log_magnitude(np.array(TWO_PI * fc)))
         wc_prew = c * math.tan(math.pi * fc / fs)
-        have = _scalar_log_mag(prew_poles, prew_zeros, log_gain, wc_prew)
+        have = (log_gain + _scalar_log_mag(prew_zeros, wc_prew)
+                - _scalar_log_mag(prew_poles, wc_prew))
         log_gain += target - have
     return _CoreMap(
         prew_poles=prew_poles,
@@ -279,7 +268,8 @@ class ModulationContext:
     (f_min for downward tilts, f_max for upward ones): a tilt across the band
     spans (f_max/f_min)**|alpha| in gain, so any interior anchor would let a
     band edge run tens of dB hot as |alpha| approaches 1, while edge
-    anchoring caps the in-band gain at one for every slope.
+    anchoring caps the in-band gain at one for every slope.  The pole half of
+    the leveling log magnitude is fixed per anchor and computed once here.
     """
 
     zero_anchors: np.ndarray
@@ -289,6 +279,14 @@ class ModulationContext:
     prew_poles: np.ndarray
     level_omega_low: float
     level_omega_high: float
+    pole_log_mag_low: float = field(init=False)
+    pole_log_mag_high: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pole_log_mag_low",
+                           _scalar_log_mag(self.prew_poles, self.level_omega_low))
+        object.__setattr__(self, "pole_log_mag_high",
+                           _scalar_log_mag(self.prew_poles, self.level_omega_high))
 
     def rebuild(self, alpha: float):
         """New (b0, b1, gain) for a slope value; denominators are untouched."""
@@ -300,9 +298,11 @@ class ModulationContext:
         zeros = self.zero_anchors * self.ratio ** (-alpha)
         prew_zeros = _prewarp_zeros_clamped(zeros, c, fs)
         b0, b1 = _numerators(prew_zeros, self.section_dens, c)
-        anchor = self.level_omega_low if alpha < 0.0 else self.level_omega_high
-        have = _scalar_log_mag(self.prew_poles, prew_zeros, 0.0, anchor)
-        gain = math.exp(-have)
+        if alpha < 0.0:
+            anchor, pole_log_mag = self.level_omega_low, self.pole_log_mag_low
+        else:
+            anchor, pole_log_mag = self.level_omega_high, self.pole_log_mag_high
+        gain = math.exp(pole_log_mag - _scalar_log_mag(prew_zeros, anchor))
         return b0, b1, gain
 
 

@@ -35,3 +35,7 @@ class EmptyDesignError(FilterDesignError):
 
 class UnstableMapError(FilterDesignError):
     """Digitization produced (or would produce) a pole on or outside the unit circle."""
+
+
+class StreamFormatError(FilterDesignError):
+    """A raw sample stream is malformed, e.g. it ends in a partial sample."""

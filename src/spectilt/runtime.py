@@ -1,10 +1,14 @@
 """Streaming sample processing, live slope modulation, and 1/f-family noise.
 
-Each first-order section runs in transposed direct form with a single state
-value, so coefficients can be swapped between blocks without disturbing the
-stored state.  Because the poles of a tilt design never move, changing the
-slope only rewrites the numerator coefficients (and the block-level gain):
-the denominators are bit-identical across any modulation schedule.
+The cascade is one ``scipy.signal.sosfilt`` call per block over first-order
+rows ``[b0, b1, 0, 1, a1, 0]``.  Each row runs in transposed direct form, so
+coefficients can be swapped between blocks without disturbing the stored
+state.  Because the poles of a tilt design never move, changing the slope
+only rewrites the numerator columns (and the block-level gain): the
+denominators are bit-identical across any modulation schedule.
+
+This is the only module that loads scipy; the package and the CLI import it
+on first use, so only streaming and noise synthesis pay for ``scipy.signal``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import sosfilt
 from scipy.special import ndtri
 
 from .design import BandSpec, TiltDesign, design_tilt
@@ -51,11 +55,15 @@ class StreamingFilter:
     """
 
     def __init__(self, digital: DigitalFilter, modulation: ModulationContext | None = None):
-        self._b0 = np.array([s.b0 for s in digital.sections])
-        self._b1 = np.array([s.b1 for s in digital.sections])
-        self._a1 = np.array([s.a1 for s in digital.sections])
+        n = len(digital.sections)
+        # One first-order row per section: [b0, b1, 0, 1, a1, 0].
+        self._sos = np.zeros((n, 6))
+        self._sos[:, 0] = [s.b0 for s in digital.sections]
+        self._sos[:, 1] = [s.b1 for s in digital.sections]
+        self._sos[:, 3] = 1.0
+        self._sos[:, 4] = [s.a1 for s in digital.sections]
         self._gain = digital.gain
-        self._state = np.zeros(len(digital.sections))
+        self._state = np.zeros((n, 2))
         self._fs = digital.sample_rate_hz
         self._mod = modulation
 
@@ -79,7 +87,7 @@ class StreamingFilter:
 
     @property
     def denominators(self) -> np.ndarray:
-        return self._a1.copy()
+        return self._sos[:, 4].copy()
 
     def process(self, block) -> np.ndarray:
         """Run one block through the cascade; gain is applied once per block.
@@ -92,15 +100,14 @@ class StreamingFilter:
             raise ValueError("expected a one-dimensional block of samples")
         if x.size == 0:
             return x.copy()
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("input block contains NaN or Inf")
-        y = x
-        for i in range(len(self._b0)):
-            y, zi = lfilter(
-                [self._b0[i], self._b1[i]], [1.0, self._a1[i]], y, zi=self._state[i : i + 1]
-            )
-            self._state[i] = zi[0]
-        return self._gain * y
+        if len(self._sos):
+            y, self._state = sosfilt(self._sos, x, zi=self._state)
+        else:  # an empty cascade passes samples through
+            y = x.copy()
+        y *= self._gain
+        return y
 
     def set_alpha(self, alpha: float) -> None:
         """Slide the zero array to a new slope; poles and states are untouched."""
@@ -108,8 +115,8 @@ class StreamingFilter:
             raise OutOfRangeError("this filter was built from bare coefficients; "
                                   "slope modulation needs the design context")
         b0, b1, gain = self._mod.rebuild(float(alpha))
-        self._b0 = b0
-        self._b1 = b1
+        self._sos[:, 0] = b0
+        self._sos[:, 1] = b1
         self._gain = gain
 
 

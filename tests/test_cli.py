@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import spectilt
 
 from spectilt import (
     design_from_json,
@@ -176,6 +182,40 @@ class TestApplyCommand:
                          "--fs", "48000", "-i", "/dev/null", "-o", str(tmp_path / "o.raw"))
         assert code == 2
 
+    @pytest.mark.parametrize("sweep", ["-0.5:2:0.5", "-1.5:0:0.5", "nan:0:0.5", "0:1:nan"])
+    def test_bad_sweep_exits_2_before_output(self, tmp_path, capsys, sweep):
+        dpath, _ = self._design_and_coeffs(tmp_path, capsys, alpha="-0.5")
+        xin = tmp_path / "in.raw"
+        xout = tmp_path / "out.raw"
+        # -0.5:2:0.5 reaches alpha = 1 after 14 400 samples; the stream is longer.
+        np.random.default_rng(2).standard_normal(20000).astype("<f8").tofile(xin)
+        code, _, err = run(capsys, "apply", "--design", str(dpath), "--fs", "48000",
+                           f"--alpha-sweep={sweep}", "-i", str(xin), "-o", str(xout))
+        assert code == 2
+        assert "spectilt:" in err
+        assert not xout.exists()
+
+    def test_partial_sample_file_exits_2_before_output(self, tmp_path, capsys):
+        _, cpath = self._design_and_coeffs(tmp_path, capsys)
+        xin = tmp_path / "in.raw"
+        xout = tmp_path / "out.raw"
+        # More than one 64 Ki-sample read, ending in three stray bytes.
+        xin.write_bytes(np.ones(70000).astype("<f8").tobytes() + b"\x00" * 3)
+        code, _, err = run(capsys, "apply", "--coeffs", str(cpath),
+                           "-i", str(xin), "-o", str(xout))
+        assert code == 2
+        assert "partial sample" in err
+        assert not xout.exists()
+
+    def test_partial_sample_pipe_exits_2_at_tail(self, tmp_path, capsys, monkeypatch):
+        _, cpath = self._design_and_coeffs(tmp_path, capsys)
+        raw = np.ones(1000).astype("<f8").tobytes() + b"\x00" * 5
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        code, _, err = run(capsys, "apply", "--coeffs", str(cpath),
+                           "-o", str(tmp_path / "out.raw"))
+        assert code == 2
+        assert "8005 bytes" in err
+
     def test_sweep_runs_finite(self, tmp_path, capsys):
         dpath, _ = self._design_and_coeffs(tmp_path, capsys, alpha="-0.5")
         x = np.random.default_rng(1).standard_normal(4800)
@@ -278,3 +318,55 @@ class TestTopLevel:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--" in out
+
+
+NO_SCIPY = """
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+class TestLazyScipy:
+    """Only apply and noise stream samples; nothing else may load scipy."""
+
+    @staticmethod
+    def _python(code, cwd):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spectilt.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                              capture_output=True, text=True)
+
+    def test_package_import_loads_no_scipy(self, tmp_path):
+        proc = self._python("import sys, spectilt\n" + NO_SCIPY, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_design_bode_digitize_sweep_version_load_no_scipy(self, tmp_path):
+        argvs = [
+            ["design", "--alpha", "-0.5", "-o", "d.json"],
+            ["bode", "--design", "d.json", "--points-per-interval", "8"],
+            ["digitize", "--design", "d.json", "--fs", "48000", "-o", "c.json"],
+            ["sweep", "--alpha", "-0.5", "--orders", "8:10:2", "--skips", "0:1",
+             "--points-per-interval", "8"],
+        ]
+        code = (
+            "import sys\n"
+            "from spectilt import cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "try:\n"
+            "    cli.main(['--version'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0\n"
+        )
+        proc = self._python(code + NO_SCIPY, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_streaming_names_load_on_first_use(self, tmp_path):
+        proc = self._python(
+            "import spectilt\n"
+            "assert spectilt.StreamingFilter.__module__ == 'spectilt.runtime'\n"
+            "from spectilt import *\n"
+            "assert pink_noise is spectilt.runtime.pink_noise\n",
+            tmp_path)
+        assert proc.returncode == 0, proc.stderr

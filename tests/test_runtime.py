@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from spectilt import (
     AlphaMailbox,
@@ -66,6 +67,13 @@ class TestProcess:
         y = filt.process(np.ones(4))
         assert y == pytest.approx([2.5] * 4)
 
+    def test_empty_cascade_applies_gain_only(self):
+        filt = StreamingFilter(DigitalFilter(sections=(), gain=2.0, sample_rate_hz=48000.0))
+        x = np.array([1.0, -0.5, 3.0])
+        assert np.array_equal(filt.process(x), 2.0 * x)
+        assert np.array_equal(x, [1.0, -0.5, 3.0])
+        assert filt.denominators.size == 0
+
     def test_linearity(self, default_design):
         x = np.random.default_rng(11).standard_normal(2048)
         y = np.random.default_rng(12).standard_normal(2048)
@@ -96,6 +104,37 @@ class TestProcess:
         assert filt.process(np.array([])).size == 0
 
 
+def _per_section_lfilter(dfilt, x):
+    """The cascade as one lfilter recursion per section, gain applied last."""
+    y = x
+    for s in dfilt.sections:
+        y = lfilter([s.b0, s.b1], [1.0, s.a1], y)
+    return dfilt.gain * y
+
+
+class TestKernelReference:
+    """The single sosfilt cascade reproduces the per-section recursion bit for bit."""
+
+    DESIGNS = {
+        "stock-48k": (lambda: design_tilt(-0.5), 48000.0),
+        "integer-part-44k1": (
+            lambda: design_tilt(-0.9837, 20, 3, 20.0, 20000.0, integer_part=-2), 44100.0),
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 63, 64, 65536, None])
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_matches_per_section_lfilter(self, name, chunk):
+        make, fs = self.DESIGNS[name]
+        dfilt, _ = digitize_design(make(), fs)
+        # Per-sample calls are slow, so chunk 1 streams a shorter prefix.
+        n = 4000 if chunk == 1 else 70000
+        x = GaussianSource(17).block(n)
+        chunk = chunk or n
+        filt = StreamingFilter(dfilt)
+        y = np.concatenate([filt.process(x[i:i + chunk]) for i in range(0, n, chunk)])
+        assert np.array_equal(y, _per_section_lfilter(dfilt, x))
+
+
 class TestSetAlpha:
     def test_requires_design_context(self, default_design):
         dfilt, _ = digitize_design(default_design, 48000.0)
@@ -110,12 +149,12 @@ class TestSetAlpha:
 
     def test_same_alpha_is_bit_exact_noop(self, default_design):
         filt = StreamingFilter.for_design(default_design, 48000.0)
-        b0 = filt._b0.copy()
-        b1 = filt._b1.copy()
+        b0 = filt._sos[:, 0].copy()
+        b1 = filt._sos[:, 1].copy()
         gain = filt.gain
         filt.set_alpha(default_design.spec.alpha)
-        assert np.array_equal(filt._b0, b0)
-        assert np.array_equal(filt._b1, b1)
+        assert np.array_equal(filt._sos[:, 0], b0)
+        assert np.array_equal(filt._sos[:, 1], b1)
         assert filt.gain == gain
 
     def test_states_preserved_across_update(self, default_design):
