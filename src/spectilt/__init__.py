@@ -12,7 +12,6 @@ from .bode import (
     conjecture_convergence,
     freq_response,
     log_mag_slope,
-    log_magnitude,
     slope_report,
     write_report_csv,
 )
@@ -35,18 +34,15 @@ from .digitize import (
     DigitalFilter,
     DigitizationParams,
     ModulationContext,
-    Section,
     bilinear,
     coefficients_from_json,
     coefficients_to_json,
     digital_response,
     digitize_design,
     load_coefficients,
-    prewarp_break,
     prewarp_constant,
     prewarped_prototype,
     save_coefficients,
-    truncate_to_nyquist,
 )
 from .errors import (
     AboveNyquistError,
@@ -95,7 +91,6 @@ __all__ = [
     "OutOfRangeError",
     "PlacementResult",
     "PoleOnAxisError",
-    "Section",
     "SlopeReport",
     "SlopeSpec",
     "StreamingFilter",
@@ -115,17 +110,14 @@ __all__ = [
     "load_coefficients",
     "load_design",
     "log_mag_slope",
-    "log_magnitude",
     "make_analog_filter",
     "normalize_gain",
     "pink_noise",
     "place_poles",
-    "prewarp_break",
     "prewarp_constant",
     "prewarped_prototype",
     "save_coefficients",
     "save_design",
     "slope_report",
-    "truncate_to_nyquist",
     "write_report_csv",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import TWO_PI, AnalogFilter, BandSpec, PlacementResult, SlopeSpec
+from .design import TWO_PI, AnalogFilter, BandSpec, PlacementResult, SlopeSpec, pole_zero_sum
 from .errors import BadGoodBandError, OutOfRangeError
 
 CSV_HEADER = "omega_rad_s,omega_ln,mag_db,phase_rad,slope_nepers,slope_error"
@@ -88,29 +88,17 @@ def freq_response(filt: AnalogFilter, omega):
     return h if w.ndim else complex(h)
 
 
-def log_magnitude(filt: AnalogFilter, omega):
-    """ln |H(j omega)|; safe for designs whose |H| would overflow a double."""
-    return filt.log_magnitude(omega)
-
-
 def log_mag_slope(filt: AnalogFilter, omega):
     """Closed-form d ln|H| / d ln(omega) at omega > 0 (scalar or array).
 
-    Interleaved accumulation: a fully canceling array (alpha = 0) gives a
-    slope of exactly zero.
+    Interleaved accumulation (see pole_zero_sum): a fully canceling array
+    (alpha = 0) gives a slope of exactly zero.
     """
     w = np.asarray(omega, dtype=np.float64)
     if np.any(w <= 0.0):
         raise OutOfRangeError("omega must be positive")
     w2 = w * w
-    out = np.zeros(w.shape)
-    for k in range(max(len(filt.zeros), len(filt.poles))):
-        if k < len(filt.zeros):
-            z = filt.zeros[k]
-            out += w2 / (w2 + z * z)
-        if k < len(filt.poles):
-            p = filt.poles[k]
-            out -= w2 / (w2 + p * p)
+    out = pole_zero_sum(filt, lambda root: w2 / (w2 + root * root), np.zeros(w.shape))
     return out if w.ndim else float(out)
 
 

@@ -23,12 +23,7 @@ from .design import (
     design_to_json,
     load_design,
 )
-from .digitize import (
-    DigitizationParams,
-    bilinear,
-    coefficients_to_json,
-    load_coefficients,
-)
+from .digitize import coefficients_to_json, digitize_design, load_coefficients
 from .errors import FilterDesignError, OutOfRangeError, StreamFormatError
 
 USAGE_ERROR = 2
@@ -112,11 +107,10 @@ def cmd_digitize(args) -> int:
         raise FilterDesignError(
             f"sample rate {args.fs} Hz must exceed twice f_min ({design.band.f_min_hz} Hz)"
         )
-    params = DigitizationParams.for_design(design.placement.f1_hz, args.fs)
-    dfilt = bilinear(design.filt, params, design.band)
-    dropped = len(design.filt.poles) - len(dfilt.sections)
+    dfilt, _ = digitize_design(design, args.fs)
+    dropped = len(design.filt.poles) - len(dfilt.sos)
     print(
-        f"kept {len(dfilt.sections)} of {len(design.filt.poles)} analog sections "
+        f"kept {len(dfilt.sos)} of {len(design.filt.poles)} analog sections "
         f"({dropped} truncated at fs={args.fs:g} Hz)",
         file=sys.stderr,
     )

@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import (
     DegenerateOrderError,
+    DesignMismatchError,
     InvalidBandError,
     OutOfRangeError,
     PoleOnAxisError,
 )
-from .serialize import emit_object, f17, float_list, parse_object
+from .serialize import emit_object, f17, float_list, integer, parse_object, real
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,14 +101,6 @@ class PlacementResult:
         """Pole spacing in nepers: ln r."""
         return math.log(self.r)
 
-    def delta_z(self, alpha: float) -> float:
-        """Zero offset from the pole array in nepers; -delta_z/delta_p is the slope."""
-        return -alpha * self.delta_p
-
-    def pole_break_hz(self, k: int) -> float:
-        """Break frequency of the k-th pole (0-based)."""
-        return self.f1_hz * self.r**k
-
 
 def _as_readonly(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).copy()
@@ -145,34 +138,35 @@ class AnalogFilter:
         object.__setattr__(self, "gain", float(self.gain))
 
     def log_magnitude(self, omega) -> np.ndarray:
-        """ln |H(j omega)|, accumulated factor by factor (no overflow for any order).
-
-        Zero and pole terms are interleaved so that for interlaced arrays the
-        running sum stays O(1) instead of O(order), which keeps rounding noise
-        far below the ripple being measured.
-        """
+        """ln |H(j omega)|, accumulated factor by factor (no overflow for any order)."""
         w = np.asarray(omega, dtype=np.float64)
-        out = np.full(w.shape, math.log(self.gain))
         w2 = w * w
-        for k in range(max(len(self.zeros), len(self.poles))):
-            if k < len(self.zeros):
-                z = self.zeros[k]
-                out += 0.5 * np.log(w2 + z * z)
-            if k < len(self.poles):
-                p = self.poles[k]
-                out -= 0.5 * np.log(w2 + p * p)
-        return out
+        return pole_zero_sum(self, lambda root: 0.5 * np.log(w2 + root * root),
+                             np.full(w2.shape, math.log(self.gain)))
 
     def phase(self, omega) -> np.ndarray:
         """arg H(j omega); each real-axis factor contributes an angle in [0, pi)."""
         w = np.asarray(omega, dtype=np.float64)
-        out = np.zeros(w.shape)
-        for k in range(max(len(self.zeros), len(self.poles))):
-            if k < len(self.zeros):
-                out += np.arctan2(w, -self.zeros[k])
-            if k < len(self.poles):
-                out -= np.arctan2(w, -self.poles[k])
-        return out
+        return pole_zero_sum(self, lambda root: np.arctan2(w, -root), np.zeros(w.shape))
+
+
+def pole_zero_sum(filt: AnalogFilter, term, start):
+    """start + sum of term(zero) over the zeros - sum of term(pole) over the poles.
+
+    Every analog sum over the prototype's factors (log magnitude, phase,
+    slope) goes through here.  Zero and pole terms are interleaved, so for
+    interlaced arrays the running sum stays O(1) instead of O(order), which
+    keeps rounding noise far below the ripple being measured, and a fully
+    canceling array (alpha = 0) sums to exactly ``start``.
+    """
+    out = start
+    zeros, poles = filt.zeros, filt.poles
+    for k in range(max(len(zeros), len(poles))):
+        if k < len(zeros):
+            out += term(zeros[k])
+        if k < len(poles):
+            out -= term(poles[k])
+    return out
 
 
 def place_poles(n: int, k_skip: int, band: BandSpec) -> PlacementResult:
@@ -235,19 +229,12 @@ def make_analog_filter(spec: SlopeSpec, placement: PlacementResult, n: int) -> A
 def normalize_gain(filt: AnalogFilter, band: BandSpec) -> AnalogFilter:
     """Scale the gain so |H| is exactly 1 at the log-geometric band center.
 
-    Zero and pole terms are interleaved, so a fully canceling array
+    The sum is interleaved (see pole_zero_sum), so a fully canceling array
     (alpha = 0) yields a gain of exactly one.
     """
     wc = TWO_PI * band.center_hz
     wc2 = wc * wc
-    log_mag = 0.0
-    for k in range(max(len(filt.zeros), len(filt.poles))):
-        if k < len(filt.zeros):
-            z = filt.zeros[k]
-            log_mag += 0.5 * math.log(wc2 + z * z)
-        if k < len(filt.poles):
-            p = filt.poles[k]
-            log_mag -= 0.5 * math.log(wc2 + p * p)
+    log_mag = pole_zero_sum(filt, lambda root: 0.5 * math.log(wc2 + root * root), 0.0)
     return replace(filt, gain=math.exp(-log_mag))
 
 
@@ -324,24 +311,32 @@ def design_to_json(design: TiltDesign) -> str:
 
 
 def design_from_json(text: str) -> TiltDesign:
-    """Parse a design file back into an exact in-memory design."""
+    """Parse a design file and re-derive the design from its inputs.
+
+    The design is recomputed with design_tilt from alpha, integer_part, n,
+    k_skip and the band; a file whose stored f1, r, poles, zeros or gain are
+    not bit-equal to the recomputed ones raises DesignMismatchError, and a
+    malformed one raises FileFormatError.
+    """
     obj = parse_object(text, _DESIGN_FIELDS)
-    spec = SlopeSpec(alpha=obj["alpha"], integer_part=obj["integer_part"])
-    band = BandSpec(f_min_hz=obj["f_min_hz"], f_max_hz=obj["f_max_hz"])
-    placement = PlacementResult(f1_hz=obj["f1_hz"], r=obj["r"])
-    filt = AnalogFilter(
-        poles=np.asarray(obj["poles_rad_s"], dtype=np.float64),
-        zeros=np.asarray(obj["zeros_rad_s"], dtype=np.float64),
-        gain=float(obj["gain"]),
-    )
-    return TiltDesign(
-        spec=spec,
-        band=band,
-        n=int(obj["n"]),
-        k_skip=int(obj["k_skip"]),
-        placement=placement,
-        filt=filt,
-    )
+    n = integer(obj["n"], "n")
+    integer_part = integer(obj["integer_part"], "integer_part")
+    poles = obj["poles_rad_s"]
+    # Checked before re-deriving, so a corrupt n cannot size a huge array.
+    if not isinstance(poles, list) or len(poles) != n + max(0, -integer_part):
+        raise DesignMismatchError(f"stored poles do not fit n={n}, integer_part={integer_part}")
+    design = design_tilt(real(obj["alpha"], "alpha"), order=n,
+                         skip=integer(obj["k_skip"], "k_skip"),
+                         f_min_hz=real(obj["f_min_hz"], "f_min_hz"),
+                         f_max_hz=real(obj["f_max_hz"], "f_max_hz"), integer_part=integer_part)
+    derived = {"f1_hz": design.placement.f1_hz, "r": design.placement.r,
+               "poles_rad_s": design.filt.poles.tolist(),
+               "zeros_rad_s": design.filt.zeros.tolist(), "gain": design.filt.gain}
+    for key, value in derived.items():
+        if obj[key] != value:
+            raise DesignMismatchError(f"stored {key} differs from the value re-derived from "
+                                      "alpha, integer_part, n, k_skip and the band")
+    return design
 
 
 def save_design(design: TiltDesign, path) -> None:

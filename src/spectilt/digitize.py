@@ -3,8 +3,8 @@
 The substitution s = c*(1 - 1/z)/(1 + 1/z) maps a negative-real analog pole p
 to the real digital pole (1 + p/c)/(1 - p/c) inside the unit circle.  The
 constant c is chosen so the first break frequency f1 maps to itself, and
-every other break frequency f is prewarped to f1*tan(pi*f*T)/tan(pi*f1*T)
-beforehand, which lands all digital breaks exactly on the analog design's
+every other break is prewarped beforehand by the same tangent map (see
+_prewarp), which lands all digital breaks exactly on the analog design's
 break ladder.  Poles are truncated so that one full spacing interval remains
 below the Nyquist limit, leaving room for the top zero to slide as the slope
 is modulated; any zero whose prewarped break would still meet fs/2 is clamped
@@ -22,10 +22,11 @@ from .design import TWO_PI, AnalogFilter, BandSpec, TiltDesign
 from .errors import (
     AboveNyquistError,
     EmptyDesignError,
+    FileFormatError,
     OutOfRangeError,
     UnstableMapError,
 )
-from .serialize import emit_object, f17, parse_object
+from .serialize import emit_object, f17, parse_object, real
 
 # Prewarped zero breaks at or above fs/2 are pinned to this fraction of fs.
 ZERO_CLAMP_FRACTION = 0.499
@@ -38,19 +39,24 @@ def prewarp_constant(f1_hz: float, fs_hz: float) -> float:
     return TWO_PI * f1_hz / math.tan(math.pi * f1_hz / fs_hz)
 
 
-def prewarp_break(f_k_hz: float, f1_hz: float, fs_hz: float) -> float:
-    """Prewarped break frequency f1 * tan(pi*f_k/fs) / tan(pi*f1/fs).
+def _prewarp(values_rad_s, c: float, fs_hz: float) -> np.ndarray:
+    """Prewarped s-plane position -c*tan(|s|/(2*fs)) of each value.
 
-    Fixed point at f_k == f1; strictly increasing on (0, fs/2).
+    A value at or above the Nyquist limit (half angle >= pi/2) has no image
+    and comes back as NaN, for the caller to reject or clamp.
     """
-    if not 0.0 < f_k_hz < 0.5 * fs_hz:
-        raise AboveNyquistError(f"break {f_k_hz} Hz not inside (0, fs/2)")
-    if not 0.0 < f1_hz < 0.5 * fs_hz:
-        raise AboveNyquistError(f"anchor {f1_hz} Hz not inside (0, fs/2)")
-    return f1_hz * math.tan(math.pi * f_k_hz / fs_hz) / math.tan(math.pi * f1_hz / fs_hz)
+    half = np.abs(values_rad_s) / (2.0 * fs_hz)
+    return np.where(half < 0.5 * math.pi, -c * np.tan(half), np.nan)
 
 
 def _margin_rule_count(breaks: np.ndarray, fs_hz: float) -> int:
+    """Number of poles to keep below the Nyquist limit with a one-interval margin.
+
+    If any break exceeds fs/2, the first *discarded* break must still lie at
+    or below fs/2, so the kept count is one less than the number of in-range
+    breaks; if the whole ladder sits below fs/2, everything is kept.  Tied
+    breaks (repeated integer-part poles) count once each.
+    """
     nyquist = 0.5 * fs_hz
     in_range = int(np.count_nonzero(breaks <= nyquist))
     if in_range == 0:
@@ -58,22 +64,6 @@ def _margin_rule_count(breaks: np.ndarray, fs_hz: float) -> int:
     if in_range == len(breaks):
         return in_range
     return in_range - 1
-
-
-def truncate_to_nyquist(analog_breaks_hz, fs_hz: float) -> int:
-    """Number of poles to keep below the Nyquist limit with a one-interval margin.
-
-    If any break exceeds fs/2, the first *discarded* break must still lie at
-    or below fs/2, so the kept count is one less than the number of in-range
-    breaks; if the whole ladder sits below fs/2, everything is kept.  Raises
-    EmptyDesignError when no break lies at or below fs/2.
-    """
-    breaks = np.asarray(analog_breaks_hz, dtype=np.float64)
-    if breaks.ndim != 1 or len(breaks) == 0:
-        raise OutOfRangeError("need a non-empty break list")
-    if np.any(np.diff(breaks) <= 0.0):
-        raise OutOfRangeError("breaks must be strictly increasing")
-    return _margin_rule_count(breaks, fs_hz)
 
 
 @dataclass(frozen=True)
@@ -91,39 +81,48 @@ class DigitizationParams:
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
         object.__setattr__(self, "c", float(self.c))
 
-    @property
-    def T(self) -> float:
-        return 1.0 / self.sample_rate_hz
-
     @classmethod
     def for_design(cls, f1_hz: float, fs_hz: float) -> "DigitizationParams":
         return cls(sample_rate_hz=fs_hz, c=prewarp_constant(f1_hz, fs_hz))
 
 
-@dataclass(frozen=True)
-class Section:
-    """First-order digital section (b0 + b1/z) / (1 + a1/z); pole at -a1."""
-
-    b0: float
-    b1: float
-    a1: float
+def _first_order_sos(b0, b1, a1) -> np.ndarray:
+    """Cascade rows [b0, b1, 0, 1, a1, 0], one per first-order section."""
+    sos = np.zeros((len(a1), 6))
+    sos[:, 0] = b0
+    sos[:, 1] = b1
+    sos[:, 3] = 1.0
+    sos[:, 4] = a1
+    return sos
 
 
 @dataclass(frozen=True)
 class DigitalFilter:
-    """Cascade of first-order sections with a single block-level gain."""
+    """Cascade of first-order sections (b0 + b1/z) / (1 + a1/z) with one block-level gain.
 
-    sections: tuple[Section, ...]
+    ``sos`` is a read-only (n, 6) array holding one row [b0, b1, 0, 1, a1, 0]
+    per section, the layout scipy.signal.sosfilt runs; section k has its
+    pole at z = -a1.
+    """
+
+    sos: np.ndarray
     gain: float
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
-        for s in self.sections:
-            if not abs(s.a1) < 1.0:
-                raise UnstableMapError(f"section pole {-s.a1} is not inside (-1, 1)")
+        sos = np.array(self.sos, dtype=np.float64)
+        if (sos.ndim != 2 or sos.shape[1] != 6 or np.any(sos[:, (2, 5)] != 0.0)
+                or np.any(sos[:, 3] != 1.0)):
+            raise OutOfRangeError("sos must be an (n, 6) array of rows [b0, b1, 0, 1, a1, 0]")
+        unstable = ~(np.abs(sos[:, 4]) < 1.0)
+        if np.any(unstable):
+            raise UnstableMapError(f"section pole {-sos[unstable, 4][0]} is not inside (-1, 1)")
         if not (self.gain > 0.0 and math.isfinite(self.gain)):
             raise OutOfRangeError(f"gain must be positive and finite, got {self.gain}")
-        object.__setattr__(self, "sections", tuple(self.sections))
+        if not (self.sample_rate_hz > 0.0 and math.isfinite(self.sample_rate_hz)):
+            raise OutOfRangeError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        sos.flags.writeable = False
+        object.__setattr__(self, "sos", sos)
         object.__setattr__(self, "gain", float(self.gain))
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 
@@ -133,30 +132,26 @@ def digital_response(dfilt: DigitalFilter, f_hz):
     f = np.asarray(f_hz, dtype=np.float64)
     zinv = np.exp(-1j * TWO_PI * f / dfilt.sample_rate_hz)
     h = np.full(zinv.shape, dfilt.gain, dtype=np.complex128)
-    for s in dfilt.sections:
-        h *= (s.b0 + s.b1 * zinv) / (1.0 + s.a1 * zinv)
+    for b0, b1, _, _, a1, _ in dfilt.sos:
+        h *= (b0 + b1 * zinv) / (1.0 + a1 * zinv)
     return h if f.ndim else complex(h)
-
-
-def _prewarp_values(values_rad_s: np.ndarray, c: float, fs_hz: float) -> np.ndarray:
-    """Map negative-real s-plane values to their prewarped positions -c*tan(|s|T/2)."""
-    half = 0.5 * np.abs(values_rad_s) / fs_hz
-    if np.any(half >= 0.5 * math.pi):
-        raise AboveNyquistError("break frequency at or above fs/2 cannot be prewarped")
-    return -c * np.tan(half)
 
 
 def _scalar_log_mag(roots: np.ndarray, omega: float) -> float:
     """ln prod |j omega - root| over real roots; the log magnitude at omega is
-    the zero sum minus the pole sum plus the log gain."""
+    the zero sum minus the pole sum plus the log gain.
+
+    One-sided, unlike pole_zero_sum: the leveling code keeps the pole half
+    fixed and recomputes only the zero half.  Over the golden grid the
+    resulting leveled log magnitude is within 1e-12 of its target (see
+    tests/test_digitize.py::TestLevelingPrecision).
+    """
     return 0.5 * float(np.log(omega * omega + roots * roots).sum())
 
 
-def _prewarp_zeros_clamped(zeros_rad_s: np.ndarray, c: float, fs_hz: float) -> np.ndarray:
-    """Prewarp zeros, pinning any break that reaches fs/2 just below it."""
-    clamp = -TWO_PI * ZERO_CLAMP_FRACTION * fs_hz
-    half = np.abs(zeros_rad_s) / (2.0 * fs_hz)
-    return np.where(half < 0.5 * math.pi, np.maximum(-c * np.tan(half), clamp), clamp)
+def _prewarp_zeros(zeros_rad_s: np.ndarray, c: float, fs_hz: float) -> np.ndarray:
+    """Prewarp zeros, pinning any break at or above fs/2 just below it."""
+    return np.fmax(_prewarp(zeros_rad_s, c, fs_hz), -TWO_PI * ZERO_CLAMP_FRACTION * fs_hz)
 
 
 @dataclass(frozen=True)
@@ -178,8 +173,6 @@ def _core_map(filt: AnalogFilter, params: DigitizationParams, band: BandSpec | N
         )
     fs = params.sample_rate_hz
     c = params.c
-    # Repeated integer-part poles give tied breaks, so apply the margin rule
-    # directly instead of the strictly-increasing public op.
     pole_breaks = np.abs(filt.poles) / TWO_PI
     n_keep = _margin_rule_count(pole_breaks, fs)
     if n_keep == 0:
@@ -187,8 +180,10 @@ def _core_map(filt: AnalogFilter, params: DigitizationParams, band: BandSpec | N
 
     kept_poles = filt.poles[:n_keep]
     kept_zeros = filt.zeros[: min(len(filt.zeros), n_keep)]
-    prew_poles = _prewarp_values(kept_poles, c, fs)
-    prew_zeros = _prewarp_zeros_clamped(kept_zeros, c, fs)
+    prew_poles = _prewarp(kept_poles, c, fs)
+    if np.any(np.isnan(prew_poles)):
+        raise AboveNyquistError("break frequency at or above fs/2 cannot be prewarped")
+    prew_zeros = _prewarp_zeros(kept_zeros, c, fs)
 
     section_dens = c - prew_poles
     a1 = -(c + prew_poles) / section_dens
@@ -197,11 +192,11 @@ def _core_map(filt: AnalogFilter, params: DigitizationParams, band: BandSpec | N
 
     log_gain = math.log(filt.gain)
     if band is not None:
-        fc = band.center_hz
-        if fc >= 0.5 * fs:
-            raise AboveNyquistError(f"band center {fc} Hz is not below fs/2")
-        target = float(filt.log_magnitude(np.array(TWO_PI * fc)))
-        wc_prew = c * math.tan(math.pi * fc / fs)
+        wc = TWO_PI * band.center_hz
+        if band.center_hz >= 0.5 * fs:
+            raise AboveNyquistError(f"band center {band.center_hz} Hz is not below fs/2")
+        target = float(filt.log_magnitude(np.array(wc)))
+        wc_prew = -float(_prewarp(wc, c, fs))
         have = (log_gain + _scalar_log_mag(prew_zeros, wc_prew)
                 - _scalar_log_mag(prew_poles, wc_prew))
         log_gain += target - have
@@ -227,25 +222,29 @@ def _numerators(prew_zeros: np.ndarray, section_dens: np.ndarray, c: float):
     return b0, b1
 
 
+def _digitize(
+    filt: AnalogFilter, params: DigitizationParams, band: BandSpec | None
+) -> tuple[DigitalFilter, _CoreMap]:
+    """The one path from a prototype to its cascade; also returns the core map."""
+    core = _core_map(filt, params, band)
+    b0, b1 = _numerators(core.prew_zeros, core.section_dens, params.c)
+    dfilt = DigitalFilter(sos=_first_order_sos(b0, b1, core.a1), gain=math.exp(core.log_gain),
+                          sample_rate_hz=params.sample_rate_hz)
+    return dfilt, core
+
+
 def bilinear(
     filt: AnalogFilter, params: DigitizationParams, band: BandSpec | None = None
 ) -> DigitalFilter:
     """Digitize an analog prototype into a first-order cascade.
 
     The result is the exact image of the prewarped, truncated prototype under
-    the substitution (see prewarped_prototype), so the response identity
-    H_d(e^{j w T}) == H_prototype(j c tan(w T / 2)) holds to rounding.  When
+    the substitution (see prewarped_prototype), so H_d(e^{j w T}) equals the
+    prototype's response at the prewarped frequency to rounding.  When
     ``band`` is given, the overall gain is chosen so the digital magnitude at
     the band center equals the original analog magnitude there.
     """
-    core = _core_map(filt, params, band)
-    b0, b1 = _numerators(core.prew_zeros, core.section_dens, params.c)
-    sections = tuple(
-        Section(b0=float(b0[i]), b1=float(b1[i]), a1=float(core.a1[i])) for i in range(len(b0))
-    )
-    return DigitalFilter(
-        sections=sections, gain=math.exp(core.log_gain), sample_rate_hz=params.sample_rate_hz
-    )
+    return _digitize(filt, params, band)[0]
 
 
 def prewarped_prototype(
@@ -294,9 +293,8 @@ class ModulationContext:
         if not -1.0 <= alpha <= 1.0:
             raise OutOfRangeError(f"alpha must lie in [-1, 1], got {alpha}")
         c = self.params.c
-        fs = self.params.sample_rate_hz
         zeros = self.zero_anchors * self.ratio ** (-alpha)
-        prew_zeros = _prewarp_zeros_clamped(zeros, c, fs)
+        prew_zeros = _prewarp_zeros(zeros, c, self.params.sample_rate_hz)
         b0, b1 = _numerators(prew_zeros, self.section_dens, c)
         if alpha < 0.0:
             anchor, pole_log_mag = self.level_omega_low, self.pole_log_mag_low
@@ -309,42 +307,33 @@ class ModulationContext:
 def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, ModulationContext]:
     """Digitize a full design and capture the context for live slope changes."""
     params = DigitizationParams.for_design(design.placement.f1_hz, fs_hz)
-    core = _core_map(design.filt, params, design.band)
-    b0, b1 = _numerators(core.prew_zeros, core.section_dens, params.c)
-    sections = tuple(
-        Section(b0=float(b0[i]), b1=float(b1[i]), a1=float(core.a1[i])) for i in range(len(b0))
-    )
-    dfilt = DigitalFilter(sections=sections, gain=math.exp(core.log_gain), sample_rate_hz=fs_hz)
-
-    n_sliding = len(core.prew_zeros)
-    anchors = design.geometric_poles[:n_sliding].copy()
-
-    def prewarped_anchor(f_hz: float) -> float:
-        # The prototype axis runs to infinity; only frequencies at or above
-        # Nyquist have no image and fall back to the clamp point.
-        f_hz = min(f_hz, ZERO_CLAMP_FRACTION * fs_hz)
-        return params.c * math.tan(math.pi * f_hz / fs_hz)
-
+    dfilt, core = _digitize(design.filt, params, design.band)
+    # The prototype axis runs to infinity; only band edges at or above
+    # Nyquist have no image and fall back to the clamp point.
+    edges_hz = np.minimum([design.band.f_min_hz, design.band.f_max_hz],
+                          ZERO_CLAMP_FRACTION * fs_hz)
+    level_low, level_high = (-_prewarp(TWO_PI * edges_hz, params.c, fs_hz)).tolist()
     context = ModulationContext(
-        zero_anchors=anchors,
+        zero_anchors=design.geometric_poles[:len(core.prew_zeros)].copy(),
         ratio=design.placement.r,
         params=params,
         section_dens=core.section_dens,
         prew_poles=core.prew_poles,
-        level_omega_low=prewarped_anchor(design.band.f_min_hz),
-        level_omega_high=prewarped_anchor(design.band.f_max_hz),
+        level_omega_low=level_low,
+        level_omega_high=level_high,
     )
     return dfilt, context
 
 
 _COEFF_FIELDS = ("sample_rate_hz", "gain", "sections")
+_SECTION_FIELDS = ("b0", "b1", "a1")
 
 
 def coefficients_to_json(dfilt: DigitalFilter) -> str:
     """Render the coefficient file (fixed field order, 17-digit reals)."""
     rows = ", ".join(
-        "{" + f'"b0": {f17(s.b0)}, "b1": {f17(s.b1)}, "a1": {f17(s.a1)}' + "}"
-        for s in dfilt.sections
+        "{" + f'"b0": {f17(b0)}, "b1": {f17(b1)}, "a1": {f17(a1)}' + "}"
+        for b0, b1, a1 in dfilt.sos[:, (0, 1, 4)].tolist()
     )
     return emit_object(
         [
@@ -356,12 +345,21 @@ def coefficients_to_json(dfilt: DigitalFilter) -> str:
 
 
 def coefficients_from_json(text: str) -> DigitalFilter:
+    """Parse a coefficient file; a malformed one raises FileFormatError."""
     obj = parse_object(text, _COEFF_FIELDS)
-    sections = tuple(
-        Section(b0=float(s["b0"]), b1=float(s["b1"]), a1=float(s["a1"])) for s in obj["sections"]
-    )
+    rows = obj["sections"]
+    if not isinstance(rows, list):
+        raise FileFormatError(f"sections must be a list, got {rows!r:.40}")
+    coeffs = []
+    for i, row in enumerate(rows):
+        if not (isinstance(row, dict) and all(key in row for key in _SECTION_FIELDS)):
+            raise FileFormatError(f"sections[{i}] must be an object with b0, b1 and a1")
+        coeffs.append([real(row[key], f"sections[{i}].{key}") for key in _SECTION_FIELDS])
+    b0, b1, a1 = np.array(coeffs, dtype=np.float64).reshape(-1, 3).T
     return DigitalFilter(
-        sections=sections, gain=float(obj["gain"]), sample_rate_hz=float(obj["sample_rate_hz"])
+        sos=_first_order_sos(b0, b1, a1),
+        gain=real(obj["gain"], "gain"),
+        sample_rate_hz=real(obj["sample_rate_hz"], "sample_rate_hz"),
     )
 
 

@@ -39,3 +39,11 @@ class UnstableMapError(FilterDesignError):
 
 class StreamFormatError(FilterDesignError):
     """A raw sample stream is malformed, e.g. it ends in a partial sample."""
+
+
+class FileFormatError(FilterDesignError):
+    """A design or coefficient file is not valid JSON of the expected shape."""
+
+
+class DesignMismatchError(FilterDesignError):
+    """A design file's stored arrays differ from those its inputs re-derive."""

@@ -55,15 +55,10 @@ class StreamingFilter:
     """
 
     def __init__(self, digital: DigitalFilter, modulation: ModulationContext | None = None):
-        n = len(digital.sections)
-        # One first-order row per section: [b0, b1, 0, 1, a1, 0].
-        self._sos = np.zeros((n, 6))
-        self._sos[:, 0] = [s.b0 for s in digital.sections]
-        self._sos[:, 1] = [s.b1 for s in digital.sections]
-        self._sos[:, 3] = 1.0
-        self._sos[:, 4] = [s.a1 for s in digital.sections]
+        # A writable copy: set_alpha rewrites the numerator columns in place.
+        self._sos = digital.sos.copy()
         self._gain = digital.gain
-        self._state = np.zeros((n, 2))
+        self._state = np.zeros((len(self._sos), 2))
         self._fs = digital.sample_rate_hz
         self._mod = modulation
 

@@ -8,7 +8,10 @@ exact IEEE double on load.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
+
+from .errors import FileFormatError
 
 
 def f17(x: float) -> str:
@@ -28,10 +31,30 @@ def emit_object(fields: list[tuple[str, str]]) -> str:
 
 def parse_object(text: str, required: tuple[str, ...]) -> dict[str, Any]:
     """Parse a JSON object and check that every required field is present."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FileFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise ValueError("expected a JSON object")
+        raise FileFormatError("expected a JSON object")
     missing = [key for key in required if key not in obj]
     if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
+        raise FileFormatError(f"missing fields: {', '.join(missing)}")
     return obj
+
+
+def real(value: Any, name: str) -> float:
+    """A parsed JSON number as a finite float; anything else is a format error."""
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the double range
+        pass
+    raise FileFormatError(f"{name} must be a finite number, got {value!r:.40}")
+
+
+def integer(value: Any, name: str) -> int:
+    """A parsed JSON integer; anything else is a format error."""
+    if type(value) is not int:
+        raise FileFormatError(f"{name} must be an integer, got {value!r:.40}")
+    return value

@@ -115,7 +115,7 @@ class TestDigitizeCommand:
         assert "truncated" in err
         dfilt = load_coefficients(cpath)
         assert dfilt.sample_rate_hz == 48000.0
-        assert len(dfilt.sections) == 16
+        assert len(dfilt.sos) == 16
 
     def test_low_sample_rate_exits_2(self, tmp_path, capsys):
         dpath = tmp_path / "d.json"
@@ -131,7 +131,55 @@ class TestDigitizeCommand:
         assert code == 2
 
 
+def _edited_design(tmp_path, capsys, edit):
+    """A stock design file with one stored field edited."""
+    path = tmp_path / "edited.json"
+    _, out, _ = run(capsys, "design", "--alpha", "-0.5")
+    obj = json.loads(out)
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    return path
+
+
+INCONSISTENT_DESIGNS = {
+    "n-25": lambda obj: obj.update(n=25),
+    "zeros-cut-to-5": lambda obj: obj.update(zeros_rad_s=obj["zeros_rad_s"][:5]),
+    "r-3": lambda obj: obj.update(r=3.0),
+}
+
+
+class TestInconsistentDesignFile:
+    @pytest.mark.parametrize("edit", sorted(INCONSISTENT_DESIGNS))
+    @pytest.mark.parametrize("command", [["bode"], ["digitize", "--fs", "48000"]])
+    def test_exits_2_with_empty_stdout(self, tmp_path, capsys, command, edit):
+        path = _edited_design(tmp_path, capsys, INCONSISTENT_DESIGNS[edit])
+        code, out, err = run(capsys, command[0], "--design", str(path), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert "re-derived" in err or "do not fit" in err
+
+
 class TestApplyCommand:
+    @pytest.mark.parametrize("mangle", [
+        lambda obj: obj["sections"][3].pop("a1"),
+        lambda obj: obj.update(sections=5),
+        lambda obj: obj["sections"].__setitem__(2, None),
+    ], ids=["missing-a1", "sections-5", "null-row"])
+    def test_malformed_coefficients_exit_2_before_output(self, tmp_path, capsys, mangle):
+        _, cpath = self._design_and_coeffs(tmp_path, capsys)
+        obj = json.loads(cpath.read_text())
+        mangle(obj)
+        cpath.write_text(json.dumps(obj))
+        xin = tmp_path / "in.raw"
+        np.ones(16).astype("<f8").tofile(xin)
+        xout = tmp_path / "out.raw"
+        code, out, err = run(capsys, "apply", "--coeffs", str(cpath), "-i", str(xin),
+                             "-o", str(xout))
+        assert code == 2
+        assert out == ""
+        assert "internal error" not in err
+        assert not xout.exists()
+
     def _design_and_coeffs(self, tmp_path, capsys, alpha="0"):
         dpath = tmp_path / "d.json"
         cpath = tmp_path / "c.json"

@@ -10,6 +10,7 @@ from spectilt import (
     AnalogFilter,
     BandSpec,
     DegenerateOrderError,
+    FilterDesignError,
     InvalidBandError,
     OutOfRangeError,
     PlacementResult,
@@ -24,8 +25,9 @@ from spectilt import (
     place_poles,
     save_design,
 )
+from spectilt.errors import DesignMismatchError, FileFormatError
 
-from conftest import random_band
+from conftest import mutated_json, random_band
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,8 +103,11 @@ class TestPlacement:
     def test_spacing_fields(self):
         res = place_poles(12, 2, BandSpec(10.0, 1000.0))
         assert res.delta_p == math.log(res.r)
-        assert res.delta_z(-0.5) == -(-0.5) * res.delta_p
-        assert res.delta_z(0.25) == -0.25 * res.delta_p
+        # The zero array sits -alpha * delta_p nepers from the pole array.
+        for alpha in (-0.5, 0.25):
+            filt = make_analog_filter(SlopeSpec(alpha), res, 12)
+            offsets = np.log(filt.zeros / filt.poles)
+            assert offsets == pytest.approx(np.full(12, -alpha * res.delta_p), rel=1e-12)
 
     def test_placement_validation(self):
         with pytest.raises(OutOfRangeError):
@@ -273,3 +278,69 @@ class TestDesignFile:
         assert back.spec.integer_part == -2
         assert np.array_equal(back.filt.poles, design.filt.poles)
         assert np.array_equal(back.geometric_poles, design.geometric_poles)
+
+    def test_load_returns_the_re_derived_design(self):
+        design = design_tilt(-0.9837, order=20, skip=3, integer_part=-2)
+        back = design_from_json(design_to_json(design))
+        assert design_to_json(back) == design_to_json(design)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 25),
+        ("zeros_rad_s", "first 5"),
+        ("r", 3.0),
+        ("f1_hz", "next float"),
+        ("gain", 1.0),
+        ("poles_rad_s", "reversed"),
+        ("alpha", -0.25),
+    ])
+    def test_inconsistent_file_rejected(self, default_design, field, value):
+        obj = json.loads(design_to_json(default_design))
+        if value == "first 5":
+            value = obj[field][:5]
+        elif value == "next float":
+            value = float(np.nextafter(obj[field], np.inf))
+        elif value == "reversed":
+            value = obj[field][::-1]
+        obj[field] = value
+        with pytest.raises(DesignMismatchError):
+            design_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", [
+        "", "[1, 2]", '{"alpha": ', "NaN",
+    ])
+    def test_not_an_object_rejected(self, text):
+        with pytest.raises(FileFormatError):
+            design_from_json(text)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", "-0.5"), ("alpha", None), ("alpha", float("nan")), ("n", 20.0),
+        ("n", True), ("k_skip", [3]), ("f_max_hz", float("inf")), ("f_min_hz", 10**400),
+    ])
+    def test_wrong_types_rejected(self, default_design, field, value):
+        obj = json.loads(design_to_json(default_design))
+        obj[field] = value
+        with pytest.raises(FileFormatError):
+            design_from_json(json.dumps(obj))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_file_loads_identically_or_raises_named_error(self, data):
+        # Inputs and derived arrays are redundant, so a fault either raises or
+        # leaves every derived number bit-identical.  An alpha or band edge
+        # moved by an ulp can re-derive the very same arrays; such a file is
+        # consistent and loads with its own, equally close, inputs.
+        design = design_tilt(-0.5, order=12, skip=2, f_min_hz=50.0, f_max_hz=5000.0,
+                             integer_part=-1)
+        text = data.draw(mutated_json(design_to_json(design)))
+        try:
+            back = design_from_json(text)
+        except FilterDesignError:
+            return
+        assert (back.n, back.k_skip, back.spec.integer_part) == (12, 2, -1)
+        assert back.placement == design.placement
+        assert np.array_equal(back.filt.poles, design.filt.poles)
+        assert np.array_equal(back.filt.zeros, design.filt.zeros)
+        assert back.filt.gain == design.filt.gain
+        assert back.spec.alpha == pytest.approx(-0.5, rel=1e-12)
+        assert back.band.f_min_hz == pytest.approx(50.0, rel=1e-12)
+        assert back.band.f_max_hz == pytest.approx(5000.0, rel=1e-12)

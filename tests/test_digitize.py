@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from spectilt import (
     AboveNyquistError,
+    AnalogFilter,
     DigitalFilter,
     DigitizationParams,
     EmptyDesignError,
-    Section,
+    FilterDesignError,
+    OutOfRangeError,
     UnstableMapError,
     bilinear,
     coefficients_from_json,
@@ -21,14 +23,23 @@ from spectilt import (
     digitize_design,
     freq_response,
     load_coefficients,
-    prewarp_break,
     prewarp_constant,
     prewarped_prototype,
     save_coefficients,
-    truncate_to_nyquist,
 )
+from spectilt.digitize import ZERO_CLAMP_FRACTION, _margin_rule_count, _prewarp
+from spectilt.errors import FileFormatError
+
+from conftest import mutated_json
+from test_golden import SAMPLE_RATES, grid_designs
 
 TWO_PI = 2.0 * math.pi
+
+
+def prewarp_break(f_k_hz: float, f1_hz: float, fs_hz: float) -> float:
+    """The break f_k moves to under the bilinear constant bound to f1, in Hz."""
+    c = prewarp_constant(f1_hz, fs_hz)
+    return -float(_prewarp(TWO_PI * f_k_hz, c, fs_hz)) / TWO_PI
 
 
 class TestPrewarpConstant:
@@ -52,9 +63,14 @@ class TestPrewarpConstant:
 
 
 class TestPrewarpBreak:
-    def test_fixed_point_exact(self):
-        assert prewarp_break(20.0, 20.0, 48000.0) == 20.0
-        assert prewarp_break(997.25, 997.25, 48000.0) == 997.25
+    def test_fixed_point_at_f1(self, rng):
+        # c is bound to f1, so f1 maps onto itself up to the roundings of c
+        # and of the tangent: at most two ulps of the angular frequency.
+        for fs in (44100.0, 48000.0, 96000.0):
+            for f1 in [20.0, 997.25, *rng.uniform(0.01, 0.49 * fs, 200)]:
+                w = TWO_PI * f1
+                got = -float(_prewarp(w, prewarp_constant(f1, fs), fs))
+                assert abs(got - w) <= 2.0 * np.spacing(w)
 
     def test_small_breaks_barely_move(self):
         # Relative shift stays under 1% through fs/20.
@@ -83,30 +99,41 @@ class TestPrewarpBreak:
         assert prewarp_break(lo, 100.0, 48000.0) < prewarp_break(hi, 100.0, 48000.0)
 
     def test_above_nyquist(self):
+        # Breaks at or above fs/2 have no image; the map rejects such poles
+        # and clamps such zeros.
+        assert math.isnan(prewarp_break(24000.0, 100.0, 48000.0))
+        assert math.isnan(prewarp_break(30000.0, 100.0, 48000.0))
+        params = DigitizationParams.for_design(100.0, 48000.0)
+        above = AnalogFilter(poles=[-TWO_PI * 100.0, -TWO_PI * 24000.0], zeros=[], gain=1.0)
         with pytest.raises(AboveNyquistError):
-            prewarp_break(24000.0, 100.0, 48000.0)
+            bilinear(above, params)
+        clamped = AnalogFilter(poles=[-TWO_PI * 100.0, -TWO_PI * 200.0],
+                               zeros=[-TWO_PI * 150.0, -TWO_PI * 30000.0], gain=1.0)
+        proto = prewarped_prototype(clamped, params)
+        assert proto.zeros[1] == -TWO_PI * ZERO_CLAMP_FRACTION * 48000.0
 
 
 class TestTruncate:
     def test_octave_ladder_keeps_margin(self):
         # One full interval left below Nyquist: first discarded break <= fs/2.
-        breaks = [100.0 * 2.0**k for k in range(11)]
-        n_keep = truncate_to_nyquist(breaks, 48000.0)
+        breaks = np.array([100.0 * 2.0**k for k in range(11)])
+        n_keep = _margin_rule_count(breaks, 48000.0)
         assert n_keep == 7
         assert breaks[n_keep] <= 24000.0
         assert breaks[n_keep + 1] > 24000.0
 
     def test_all_below_quarter_fs_keeps_all(self):
-        breaks = [100.0, 200.0, 400.0]
-        assert truncate_to_nyquist(breaks, 48000.0) == 3
+        breaks = np.array([100.0, 200.0, 400.0])
+        assert _margin_rule_count(breaks, 48000.0) == 3
 
     def test_all_above_nyquist_is_empty(self):
         with pytest.raises(EmptyDesignError):
-            truncate_to_nyquist([30000.0, 60000.0], 48000.0)
+            _margin_rule_count(np.array([30000.0, 60000.0]), 48000.0)
 
-    def test_non_increasing_rejected(self):
-        with pytest.raises(Exception):
-            truncate_to_nyquist([100.0, 100.0], 48000.0)
+    def test_tied_breaks_count_each(self):
+        # Repeated integer-part poles give tied breaks; each one is kept.
+        assert _margin_rule_count(np.array([100.0, 100.0, 200.0]), 48000.0) == 3
+        assert _margin_rule_count(np.array([100.0, 100.0, 30000.0]), 48000.0) == 1
 
 
 class TestParams:
@@ -116,7 +143,7 @@ class TestParams:
         assert params.c == pytest.approx(
             TWO_PI * f1 / math.tan(math.pi * f1 / 48000.0), rel=1e-15
         )
-        assert params.T == pytest.approx(1.0 / 48000.0, rel=1e-15)
+        assert params.sample_rate_hz == 48000.0
 
 
 def _random_design(rng):
@@ -138,18 +165,16 @@ class TestBilinear:
         dfilt = bilinear(default_design.filt, params, default_design.band)
         proto = prewarped_prototype(default_design.filt, params, default_design.band)
         # Each section pole is (1 + p/c)/(1 - p/c) for the prewarped pole p.
-        for section, p in zip(dfilt.sections, proto.poles):
-            assert -section.a1 == pytest.approx((1.0 + p / params.c) / (1.0 - p / params.c),
-                                                rel=1e-12)
+        for a1, p in zip(dfilt.sos[:, 4], proto.poles):
+            assert -a1 == pytest.approx((1.0 + p / params.c) / (1.0 - p / params.c), rel=1e-12)
 
     def test_stability_and_section_count(self, rng):
         for _ in range(40):
             design, fs = _random_design(rng)
             params = DigitizationParams.for_design(design.placement.f1_hz, fs)
             dfilt = bilinear(design.filt, params, design.band)
-            assert len(dfilt.sections) <= len(design.filt.poles)
-            for s in dfilt.sections:
-                assert abs(s.a1) < 1.0
+            assert len(dfilt.sos) <= len(design.filt.poles)
+            assert np.all(np.abs(dfilt.sos[:, 4]) < 1.0)
 
     def test_response_identity_random_designs(self, rng):
         worst = 0.0
@@ -184,9 +209,8 @@ class TestBilinear:
         design = design_tilt(0.0)
         params = DigitizationParams.for_design(design.placement.f1_hz, 48000.0)
         dfilt = bilinear(design.filt, params, design.band)
-        for s in dfilt.sections:
-            assert s.b0 == 1.0
-            assert s.b1 == s.a1
+        assert np.all(dfilt.sos[:, 0] == 1.0)
+        assert np.array_equal(dfilt.sos[:, 1], dfilt.sos[:, 4])
 
     def test_excess_analog_poles_pair_with_nyquist_zeros(self):
         # integer_part = -1 adds a pole with no zero partner; its section
@@ -195,10 +219,10 @@ class TestBilinear:
                              integer_part=-1)
         params = DigitizationParams.for_design(design.placement.f1_hz, 48000.0)
         dfilt = bilinear(design.filt, params, design.band)
-        assert len(dfilt.sections) == len(design.filt.poles)
-        trailing = dfilt.sections[-1]
-        assert trailing.b0 == trailing.b1
-        z_at_minus_one = trailing.b0 + trailing.b1 * np.exp(-1j * math.pi)
+        assert len(dfilt.sos) == len(design.filt.poles)
+        b0, b1 = dfilt.sos[-1, :2]
+        assert b0 == b1
+        z_at_minus_one = b0 + b1 * np.exp(-1j * math.pi)
         assert abs(z_at_minus_one) < 1e-15
 
     def test_repeated_integer_part_poles_digitize(self):
@@ -208,9 +232,8 @@ class TestBilinear:
                              integer_part=-2)
         params = DigitizationParams.for_design(design.placement.f1_hz, 48000.0)
         dfilt = bilinear(design.filt, params, design.band)
-        assert len(dfilt.sections) == len(design.filt.poles)
-        for s in dfilt.sections:
-            assert abs(s.a1) < 1.0
+        assert len(dfilt.sos) == len(design.filt.poles)
+        assert np.all(np.abs(dfilt.sos[:, 4]) < 1.0)
 
     def test_improper_prototype_rejected(self):
         design = design_tilt(0.5, order=8, skip=1, f_min_hz=100.0, f_max_hz=5000.0,
@@ -227,12 +250,32 @@ class TestBilinear:
         dfilt = bilinear(design.filt, params, design.band)
         proto = prewarped_prototype(design.filt, params, design.band)
         assert np.max(np.abs(proto.zeros)) <= TWO_PI * 0.499 * 48000.0 + 1e-9
-        for s in dfilt.sections:
-            assert abs(s.a1) < 1.0
+        assert np.all(np.abs(dfilt.sos[:, 4]) < 1.0)
 
     def test_unstable_section_rejected_at_type(self):
         with pytest.raises(UnstableMapError):
-            DigitalFilter(sections=(Section(1.0, 0.5, -1.0),), gain=1.0, sample_rate_hz=48000.0)
+            DigitalFilter(sos=[[1.0, 0.5, 0.0, 1.0, -1.0, 0.0]], gain=1.0, sample_rate_hz=48000.0)
+        with pytest.raises(UnstableMapError):
+            DigitalFilter(sos=[[1.0, 0.5, 0.0, 1.0, np.nan, 0.0]], gain=1.0,
+                          sample_rate_hz=48000.0)
+
+    def test_rows_must_be_first_order(self):
+        for sos in ([[1.0, 0.5, 0.1, 1.0, -0.5, 0.0]], [[1.0, 0.5, 0.0, 2.0, -0.5, 0.0]],
+                    [[1.0, 0.5, 0.0, 1.0, -0.5, 0.3]], [1.0, 0.5, 0.0, 1.0, -0.5, 0.0],
+                    [[1.0, 0.5, -0.5]]):
+            with pytest.raises(OutOfRangeError):
+                DigitalFilter(sos=sos, gain=1.0, sample_rate_hz=48000.0)
+        with pytest.raises(OutOfRangeError):
+            DigitalFilter(sos=np.zeros((0, 6)), gain=1.0, sample_rate_hz=0.0)
+
+    def test_sos_is_a_read_only_copy(self, default_design):
+        dfilt, _ = digitize_design(default_design, 48000.0)
+        with pytest.raises(ValueError):
+            dfilt.sos[0, 0] = 0.0
+        rows = np.array([[1.0, 0.5, 0.0, 1.0, -0.5, 0.0]])
+        held = DigitalFilter(sos=rows, gain=1.0, sample_rate_hz=48000.0)
+        rows[0, 0] = 2.0
+        assert held.sos[0, 0] == 1.0
 
 
 class TestModulationContext:
@@ -247,8 +290,8 @@ class TestModulationContext:
     def test_rebuild_matches_bilinear_numerators(self, default_design):
         dfilt, ctx = digitize_design(default_design, 48000.0)
         b0, b1, _ = ctx.rebuild(default_design.spec.alpha)
-        assert np.array_equal(b0, np.array([s.b0 for s in dfilt.sections]))
-        assert np.array_equal(b1, np.array([s.b1 for s in dfilt.sections]))
+        assert np.array_equal(b0, dfilt.sos[:, 0])
+        assert np.array_equal(b1, dfilt.sos[:, 1])
 
     def test_denominators_never_rebuilt(self, default_design):
         _, ctx = digitize_design(default_design, 48000.0)
@@ -274,8 +317,82 @@ class TestCoefficientFile:
         back = load_coefficients(path)
         assert back.gain == dfilt.gain
         assert back.sample_rate_hz == dfilt.sample_rate_hz
-        assert back.sections == dfilt.sections
+        assert np.array_equal(back.sos, dfilt.sos)
 
     def test_parse_rejects_missing(self):
         with pytest.raises(ValueError):
             coefficients_from_json('{"gain": 1.0, "sections": []}')
+
+    @pytest.mark.parametrize("mangle", [
+        lambda obj: obj["sections"][3].pop("a1"),
+        lambda obj: obj.update(sections=5),
+        lambda obj: obj["sections"].__setitem__(2, None),
+        lambda obj: obj["sections"][0].update(b0=float("nan")),
+        lambda obj: obj["sections"][0].update(b1=float("inf")),
+        lambda obj: obj["sections"][0].update(a1="0.5"),
+        lambda obj: obj.update(gain=float("inf")),
+        lambda obj: obj.update(sample_rate_hz=None),
+    ], ids=["missing-a1", "sections-5", "null-row", "nan-b0", "inf-b1", "string-a1", "inf-gain",
+            "null-rate"])
+    def test_malformed_file_raises_format_error(self, default_design, mangle):
+        obj = json.loads(coefficients_to_json(digitize_design(default_design, 48000.0)[0]))
+        mangle(obj)
+        with pytest.raises(FileFormatError):
+            coefficients_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", ["", "[]", '{"sections": [', "Infinity"])
+    def test_not_an_object_raises_format_error(self, text):
+        with pytest.raises(FileFormatError):
+            coefficients_from_json(text)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_file_loads_as_written_or_raises_named_error(self, data):
+        # A coefficient file carries no redundancy, so a changed number can
+        # be valid; whatever loads must be exactly what the file states.
+        dfilt = digitize_design(design_tilt(-0.5, order=8, skip=1, f_min_hz=100.0,
+                                            f_max_hz=5000.0), 48000.0)[0]
+        text = data.draw(mutated_json(coefficients_to_json(dfilt)))
+        try:
+            back = coefficients_from_json(text)
+        except FilterDesignError:
+            return
+        obj = json.loads(text)
+        assert back.sample_rate_hz == obj["sample_rate_hz"]
+        assert back.gain == obj["gain"]
+        rows = [[row["b0"], row["b1"], row["a1"]] for row in obj["sections"]]
+        assert back.sos[:, (0, 1, 4)].tolist() == rows
+
+
+class TestLevelingPrecision:
+    """The leveling sums are one-sided (not interleaved); over the golden grid
+    they still land within 1e-12 in log gain."""
+
+    @pytest.mark.parametrize("fs", SAMPLE_RATES)
+    def test_band_center_level_matches_analog(self, fs):
+        worst = 0.0
+        for design in grid_designs():
+            params = DigitizationParams.for_design(design.placement.f1_hz, fs)
+            proto = prewarped_prototype(design.filt, params, design.band)
+            wc = TWO_PI * design.band.center_hz
+            wc_prew = params.c * math.tan(math.pi * design.band.center_hz / fs)
+            err = float(proto.log_magnitude(wc_prew) - design.filt.log_magnitude(wc))
+            worst = max(worst, abs(err))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("fs", SAMPLE_RATES)
+    def test_rebuild_gain_levels_the_anchor(self, fs):
+        worst = 0.0
+        clamp = -TWO_PI * 0.499 * fs
+        for design in grid_designs():
+            _, ctx = digitize_design(design, fs)
+            c = ctx.params.c
+            for alpha in (-1.0, design.spec.alpha, 1.0):
+                _, _, gain = ctx.rebuild(alpha)
+                half = np.abs(ctx.zero_anchors * ctx.ratio ** (-alpha)) / (2.0 * fs)
+                zeros = np.where(half < 0.5 * math.pi,
+                                 np.maximum(-c * np.tan(half), clamp), clamp)
+                anchor = ctx.level_omega_low if alpha < 0.0 else ctx.level_omega_high
+                level = AnalogFilter(poles=ctx.prew_poles, zeros=zeros, gain=gain)
+                worst = max(worst, abs(float(level.log_magnitude(anchor))))
+        assert worst < 1e-12

@@ -90,6 +90,13 @@ def _grid():
             for a, n, k, lo, hi, ip in cells]
 
 
+def grid_designs():
+    """Every grid design with a digital image (integer part 0, -1 or -2)."""
+    for _, args in _grid():
+        if args[5] <= 0:
+            yield _design(*args)
+
+
 def design_digests() -> dict[str, str]:
     return {f"design {key}": _sha(design_to_json(_design(*args))) for key, args in _grid()}
 

@@ -10,7 +10,6 @@ from spectilt import (
     DigitalFilter,
     GaussianSource,
     OutOfRangeError,
-    Section,
     StreamingFilter,
     colored_noise,
     design_tilt,
@@ -40,7 +39,7 @@ class TestGaussianSource:
 
 
 def _single_section_filter(b0, b1, a1, gain=1.0, fs=48000.0):
-    return StreamingFilter(DigitalFilter(sections=(Section(b0, b1, a1),),
+    return StreamingFilter(DigitalFilter(sos=[[b0, b1, 0.0, 1.0, a1, 0.0]],
                                          gain=gain, sample_rate_hz=fs))
 
 
@@ -68,7 +67,8 @@ class TestProcess:
         assert y == pytest.approx([2.5] * 4)
 
     def test_empty_cascade_applies_gain_only(self):
-        filt = StreamingFilter(DigitalFilter(sections=(), gain=2.0, sample_rate_hz=48000.0))
+        filt = StreamingFilter(DigitalFilter(sos=np.zeros((0, 6)), gain=2.0,
+                                           sample_rate_hz=48000.0))
         x = np.array([1.0, -0.5, 3.0])
         assert np.array_equal(filt.process(x), 2.0 * x)
         assert np.array_equal(x, [1.0, -0.5, 3.0])
@@ -107,8 +107,8 @@ class TestProcess:
 def _per_section_lfilter(dfilt, x):
     """The cascade as one lfilter recursion per section, gain applied last."""
     y = x
-    for s in dfilt.sections:
-        y = lfilter([s.b0, s.b1], [1.0, s.a1], y)
+    for b0, b1, _, _, a1, _ in dfilt.sos:
+        y = lfilter([b0, b1], [1.0, a1], y)
     return dfilt.gain * y
 
 
@@ -185,14 +185,10 @@ class TestSetAlpha:
         f = np.linspace(20.0, 20000.0, 400)
         for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
             b0, b1, gain = ctx.rebuild(alpha)
-            probe = DigitalFilter(
-                sections=tuple(
-                    Section(float(b0[i]), float(b1[i]), s.a1)
-                    for i, s in enumerate(dfilt.sections)
-                ),
-                gain=gain,
-                sample_rate_hz=48000.0,
-            )
+            sos = dfilt.sos.copy()
+            sos[:, 0] = b0
+            sos[:, 1] = b1
+            probe = DigitalFilter(sos=sos, gain=gain, sample_rate_hz=48000.0)
             mags = np.abs(digital_response(probe, f))
             assert np.max(mags) < 1.05
 
