@@ -125,11 +125,11 @@ class AnalogFilter:
         poles = _as_readonly(self.poles)
         zeros = _as_readonly(self.zeros)
         for name, arr in (("pole", poles), ("zero", zeros)):
-            if np.any(arr == 0.0):
+            if (arr == 0.0).any():
                 raise PoleOnAxisError(f"{name} at s = 0 is not representable")
-            if np.any(arr >= 0.0) or not np.all(np.isfinite(arr)):
+            if not ((arr < 0.0) & (arr > -np.inf)).all():
                 raise OutOfRangeError(f"every {name} must be a finite negative real")
-            if np.any(np.diff(-arr) < 0.0):
+            if (arr[1:] > arr[:-1]).any():
                 raise OutOfRangeError(f"{name}s must be ordered by increasing magnitude")
         if not (self.gain > 0.0 and math.isfinite(self.gain)):
             raise OutOfRangeError(f"gain must be positive and finite, got {self.gain}")
@@ -160,7 +160,7 @@ def pole_zero_sum(filt: AnalogFilter, term, start):
     canceling array (alpha = 0) sums to exactly ``start``.
     """
     out = start
-    zeros, poles = filt.zeros, filt.poles
+    zeros, poles = filt.zeros.tolist(), filt.poles.tolist()  # float roots: faster scalar math
     for k in range(max(len(zeros), len(poles))):
         if k < len(zeros):
             out += term(zeros[k])
