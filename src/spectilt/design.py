@@ -153,11 +153,11 @@ class AnalogFilter:
 def pole_zero_sum(filt: AnalogFilter, term, start):
     """start + sum of term(zero) over the zeros - sum of term(pole) over the poles.
 
-    Every analog sum over the prototype's factors (log magnitude, phase,
-    slope) goes through here.  Zero and pole terms are interleaved, so for
-    interlaced arrays the running sum stays O(1) instead of O(order), which
-    keeps rounding noise far below the ripple being measured, and a fully
-    canceling array (alpha = 0) sums to exactly ``start``.
+    Every analog sum over the prototype's factors goes through here (the
+    digital leveling sums are one-sided: see digitize._scalar_log_mag).  The
+    terms are interleaved, so for interlaced arrays the running sum stays O(1)
+    instead of O(order), keeping rounding noise far below the ripple being
+    measured, and a fully canceling array (alpha = 0) sums to exactly ``start``.
     """
     out = start
     zeros, poles = filt.zeros.tolist(), filt.poles.tolist()  # float roots: faster scalar math

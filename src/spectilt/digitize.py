@@ -126,6 +126,12 @@ class DigitalFilter:
         object.__setattr__(self, "gain", float(self.gain))
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DigitalFilter):
+            return NotImplemented
+        return (self.gain == other.gain and self.sample_rate_hz == other.sample_rate_hz
+                and np.array_equal(self.sos, other.sos))
+
 
 def digital_response(dfilt: DigitalFilter, f_hz):
     """Complex response of the cascade at f_hz (scalar or array)."""

@@ -150,7 +150,8 @@ INCONSISTENT_DESIGNS = {
 
 class TestInconsistentDesignFile:
     @pytest.mark.parametrize("edit", sorted(INCONSISTENT_DESIGNS))
-    @pytest.mark.parametrize("command", [["bode"], ["digitize", "--fs", "48000"]])
+    @pytest.mark.parametrize("command", [["bode"], ["digitize", "--fs", "48000"]],
+                             ids=["bode", "digitize"])
     def test_exits_2_with_empty_stdout(self, tmp_path, capsys, command, edit):
         path = _edited_design(tmp_path, capsys, INCONSISTENT_DESIGNS[edit])
         code, out, err = run(capsys, command[0], "--design", str(path), *command[1:])

@@ -318,6 +318,9 @@ class TestCoefficientFile:
         assert back.gain == dfilt.gain
         assert back.sample_rate_hz == dfilt.sample_rate_hz
         assert np.array_equal(back.sos, dfilt.sos)
+        assert back == dfilt
+        assert back != DigitalFilter(sos=dfilt.sos[:-1], gain=dfilt.gain,
+                                     sample_rate_hz=dfilt.sample_rate_hz)
 
     def test_parse_rejects_missing(self):
         with pytest.raises(ValueError):
