@@ -7,10 +7,7 @@ resulting cascade with live slope modulation and seeded noise synthesis.
 """
 
 from .bode import (
-    BodeGrid,
-    SlopeReport,
     conjecture_convergence,
-    freq_response,
     log_mag_slope,
     slope_report,
     write_report_csv,
@@ -18,29 +15,19 @@ from .bode import (
 from .design import (
     AnalogFilter,
     BandSpec,
-    PlacementResult,
-    SlopeSpec,
-    TiltDesign,
     design_from_json,
     design_tilt,
     design_to_json,
     load_design,
-    make_analog_filter,
-    normalize_gain,
-    place_poles,
     save_design,
 )
 from .digitize import (
     DigitalFilter,
-    DigitizationParams,
     ModulationContext,
-    bilinear,
-    coefficients_from_json,
     coefficients_to_json,
     digital_response,
     digitize_design,
     load_coefficients,
-    prewarp_constant,
     prewarped_prototype,
     save_coefficients,
 )
@@ -48,11 +35,14 @@ from .errors import (
     AboveNyquistError,
     BadGoodBandError,
     DegenerateOrderError,
+    DesignMismatchError,
     EmptyDesignError,
+    FileFormatError,
     FilterDesignError,
     InvalidBandError,
     OutOfRangeError,
     PoleOnAxisError,
+    StreamFormatError,
     UnstableMapError,
 )
 
@@ -60,9 +50,7 @@ __version__ = "0.1.0"
 
 # The streaming runtime is the only layer that needs scipy, whose import costs
 # more than everything else here; load it on first use.
-_RUNTIME_NAMES = frozenset(
-    {"AlphaMailbox", "GaussianSource", "StreamingFilter", "colored_noise", "pink_noise"}
-)
+_RUNTIME_NAMES = frozenset({"GaussianSource", "StreamingFilter", "colored_noise", "pink_noise"})
 
 
 def __getattr__(name: str):
@@ -75,29 +63,23 @@ def __getattr__(name: str):
 
 __all__ = [
     "AboveNyquistError",
-    "AlphaMailbox",
     "AnalogFilter",
     "BadGoodBandError",
     "BandSpec",
-    "BodeGrid",
     "DegenerateOrderError",
+    "DesignMismatchError",
     "DigitalFilter",
-    "DigitizationParams",
     "EmptyDesignError",
+    "FileFormatError",
     "FilterDesignError",
     "GaussianSource",
     "InvalidBandError",
     "ModulationContext",
     "OutOfRangeError",
-    "PlacementResult",
     "PoleOnAxisError",
-    "SlopeReport",
-    "SlopeSpec",
+    "StreamFormatError",
     "StreamingFilter",
-    "TiltDesign",
     "UnstableMapError",
-    "bilinear",
-    "coefficients_from_json",
     "coefficients_to_json",
     "colored_noise",
     "conjecture_convergence",
@@ -106,15 +88,10 @@ __all__ = [
     "design_to_json",
     "digital_response",
     "digitize_design",
-    "freq_response",
     "load_coefficients",
     "load_design",
     "log_mag_slope",
-    "make_analog_filter",
-    "normalize_gain",
     "pink_noise",
-    "place_poles",
-    "prewarp_constant",
     "prewarped_prototype",
     "save_coefficients",
     "save_design",

@@ -29,7 +29,7 @@ DB_PER_NEPER = 20.0 / math.log(10.0)
 DEFAULT_POINTS_PER_INTERVAL = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BodeGrid:
     """Uniform grid in wt = ln(omega), rad/s."""
 
@@ -45,8 +45,6 @@ class BodeGrid:
             raise OutOfRangeError("grid must be strictly increasing")
         if np.max(steps) - np.min(steps) > 1e-9 * np.max(np.abs(steps)):
             raise OutOfRangeError("grid must be uniformly spaced in ln(omega)")
-        if int(self.points_per_interval) < 8:
-            raise OutOfRangeError("points_per_interval must be at least 8")
         arr.flags.writeable = False
         object.__setattr__(self, "omega_log", arr)
         object.__setattr__(self, "points_per_interval", int(self.points_per_interval))
@@ -56,7 +54,7 @@ class BodeGrid:
         return np.exp(self.omega_log)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlopeReport:
     """Gridded slope, slope error, and equal-ripple statistics over a band.
 
@@ -148,6 +146,8 @@ def slope_report(
     ``points_per_interval`` points per pole interval; the good band runs
     between the k_skip-th and (n-1-k_skip)-th pole break frequencies.
     """
+    if int(points_per_interval) < 8:
+        raise OutOfRangeError(f"points_per_interval must be at least 8, got {points_per_interval}")
     n = int(n)
     k_skip = int(k_skip)
     if k_skip < 0:

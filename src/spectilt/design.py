@@ -12,7 +12,7 @@ system, and the arrays follow by geometric recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -108,6 +108,15 @@ def _as_readonly(values) -> np.ndarray:
     return arr
 
 
+def value_eq(self, other) -> bool:
+    """Field-by-field equality for frozen dataclasses that hold arrays; the
+    generated __eq__ would call bool() on an elementwise array comparison."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self))
+
+
 @dataclass(frozen=True)
 class AnalogFilter:
     """s-plane prototype: negative-real poles and zeros plus a positive gain.
@@ -136,6 +145,8 @@ class AnalogFilter:
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "gain", float(self.gain))
+
+    __eq__ = value_eq
 
     def log_magnitude(self, omega) -> np.ndarray:
         """ln |H(j omega)|, accumulated factor by factor (no overflow for any order)."""

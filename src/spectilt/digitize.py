@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import TWO_PI, AnalogFilter, BandSpec, TiltDesign
+from .design import TWO_PI, AnalogFilter, BandSpec, TiltDesign, value_eq
 from .errors import (
     AboveNyquistError,
     EmptyDesignError,
@@ -36,6 +36,8 @@ def prewarp_constant(f1_hz: float, fs_hz: float) -> float:
     """Bilinear constant c = 2*pi*f1 / tan(pi*f1/fs); c -> 2*fs as f1 -> 0."""
     if not 0.0 < f1_hz < 0.5 * fs_hz:
         raise AboveNyquistError(f"need 0 < f1 < fs/2, got f1={f1_hz}, fs={fs_hz}")
+    if not math.isfinite(fs_hz):
+        raise OutOfRangeError(f"sample rate must be finite, got {fs_hz}")
     return TWO_PI * f1_hz / math.tan(math.pi * f1_hz / fs_hz)
 
 
@@ -64,26 +66,6 @@ def _margin_rule_count(breaks: np.ndarray, fs_hz: float) -> int:
     if in_range == len(breaks):
         return in_range
     return in_range - 1
-
-
-@dataclass(frozen=True)
-class DigitizationParams:
-    """Sample rate plus the bilinear constant bound to a design's f1."""
-
-    sample_rate_hz: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if not self.sample_rate_hz > 0.0:
-            raise OutOfRangeError(f"sample rate must be positive, got {self.sample_rate_hz}")
-        if not self.c > 0.0:
-            raise OutOfRangeError(f"bilinear constant must be positive, got {self.c}")
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-        object.__setattr__(self, "c", float(self.c))
-
-    @classmethod
-    def for_design(cls, f1_hz: float, fs_hz: float) -> "DigitizationParams":
-        return cls(sample_rate_hz=fs_hz, c=prewarp_constant(f1_hz, fs_hz))
 
 
 def _first_order_sos(b0, b1, a1) -> np.ndarray:
@@ -126,11 +108,7 @@ class DigitalFilter:
         object.__setattr__(self, "gain", float(self.gain))
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DigitalFilter):
-            return NotImplemented
-        return (self.gain == other.gain and self.sample_rate_hz == other.sample_rate_hz
-                and np.array_equal(self.sos, other.sos))
+    __eq__ = value_eq
 
 
 def digital_response(dfilt: DigitalFilter, f_hz):
@@ -160,7 +138,7 @@ def _prewarp_zeros(zeros_rad_s: np.ndarray, c: float, fs_hz: float) -> np.ndarra
     return np.fmax(_prewarp(zeros_rad_s, c, fs_hz), -TWO_PI * ZERO_CLAMP_FRACTION * fs_hz)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CoreMap:
     """Everything the bilinear map produces before sections are assembled."""
 
@@ -171,41 +149,40 @@ class _CoreMap:
     log_gain: float
 
 
-def _core_map(filt: AnalogFilter, params: DigitizationParams, band: BandSpec | None) -> _CoreMap:
+def _core_map(filt: AnalogFilter, c: float, fs_hz: float, band: BandSpec) -> _CoreMap:
     if len(filt.zeros) > len(filt.poles):
         raise UnstableMapError(
             "more zeros than poles: the substitution would place digital poles at z=-1; "
             "use matched pole/zero counts (positive integer slope parts are analog-only)"
         )
-    fs = params.sample_rate_hz
-    c = params.c
     pole_breaks = np.abs(filt.poles) / TWO_PI
-    n_keep = _margin_rule_count(pole_breaks, fs)
+    n_keep = _margin_rule_count(pole_breaks, fs_hz)
     if n_keep == 0:
         raise EmptyDesignError("no pole survives Nyquist truncation")
 
     kept_poles = filt.poles[:n_keep]
     kept_zeros = filt.zeros[: min(len(filt.zeros), n_keep)]
-    prew_poles = _prewarp(kept_poles, c, fs)
+    prew_poles = _prewarp(kept_poles, c, fs_hz)
     if np.any(np.isnan(prew_poles)):
         raise AboveNyquistError("break frequency at or above fs/2 cannot be prewarped")
-    prew_zeros = _prewarp_zeros(kept_zeros, c, fs)
+    prew_zeros = _prewarp_zeros(kept_zeros, c, fs_hz)
 
     section_dens = c - prew_poles
     a1 = -(c + prew_poles) / section_dens
     if np.any(np.abs(a1) >= 1.0):
         raise UnstableMapError("a mapped pole landed on or outside the unit circle")
 
+    # Level the gain so the digital magnitude at the band center equals the
+    # original analog magnitude there.
+    if band.center_hz >= 0.5 * fs_hz:
+        raise AboveNyquistError(f"band center {band.center_hz} Hz is not below fs/2")
+    wc = TWO_PI * band.center_hz
+    target = float(filt.log_magnitude(np.array(wc)))
+    wc_prew = -float(_prewarp(wc, c, fs_hz))
     log_gain = math.log(filt.gain)
-    if band is not None:
-        wc = TWO_PI * band.center_hz
-        if band.center_hz >= 0.5 * fs:
-            raise AboveNyquistError(f"band center {band.center_hz} Hz is not below fs/2")
-        target = float(filt.log_magnitude(np.array(wc)))
-        wc_prew = -float(_prewarp(wc, c, fs))
-        have = (log_gain + _scalar_log_mag(prew_zeros, wc_prew)
-                - _scalar_log_mag(prew_poles, wc_prew))
-        log_gain += target - have
+    have = (log_gain + _scalar_log_mag(prew_zeros, wc_prew)
+            - _scalar_log_mag(prew_poles, wc_prew))
+    log_gain += target - have
     return _CoreMap(
         prew_poles=prew_poles,
         prew_zeros=prew_zeros,
@@ -228,42 +205,16 @@ def _numerators(prew_zeros: np.ndarray, section_dens: np.ndarray, c: float):
     return b0, b1
 
 
-def _digitize(
-    filt: AnalogFilter, params: DigitizationParams, band: BandSpec | None
-) -> tuple[DigitalFilter, _CoreMap]:
-    """The one path from a prototype to its cascade; also returns the core map."""
-    core = _core_map(filt, params, band)
-    b0, b1 = _numerators(core.prew_zeros, core.section_dens, params.c)
-    dfilt = DigitalFilter(sos=_first_order_sos(b0, b1, core.a1), gain=math.exp(core.log_gain),
-                          sample_rate_hz=params.sample_rate_hz)
-    return dfilt, core
-
-
-def bilinear(
-    filt: AnalogFilter, params: DigitizationParams, band: BandSpec | None = None
-) -> DigitalFilter:
-    """Digitize an analog prototype into a first-order cascade.
-
-    The result is the exact image of the prewarped, truncated prototype under
-    the substitution (see prewarped_prototype), so H_d(e^{j w T}) equals the
-    prototype's response at the prewarped frequency to rounding.  When
-    ``band`` is given, the overall gain is chosen so the digital magnitude at
-    the band center equals the original analog magnitude there.
-    """
-    return _digitize(filt, params, band)[0]
-
-
-def prewarped_prototype(
-    filt: AnalogFilter, params: DigitizationParams, band: BandSpec | None = None
-) -> AnalogFilter:
-    """The truncated, prewarped s-plane filter that ``bilinear`` actually maps."""
-    core = _core_map(filt, params, band)
+def prewarped_prototype(design: TiltDesign, fs_hz: float) -> AnalogFilter:
+    """The truncated, prewarped s-plane filter that ``digitize_design`` maps."""
+    c = prewarp_constant(design.placement.f1_hz, fs_hz)
+    core = _core_map(design.filt, c, fs_hz, design.band)
     return AnalogFilter(
         poles=core.prew_poles, zeros=core.prew_zeros, gain=math.exp(core.log_gain)
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModulationContext:
     """Fixed-pole state needed to rebuild numerators when the slope changes.
 
@@ -279,7 +230,8 @@ class ModulationContext:
 
     zero_anchors: np.ndarray
     ratio: float
-    params: DigitizationParams
+    c: float
+    fs_hz: float
     section_dens: np.ndarray
     prew_poles: np.ndarray
     level_omega_low: float
@@ -298,10 +250,9 @@ class ModulationContext:
         alpha = float(alpha)
         if not -1.0 <= alpha <= 1.0:
             raise OutOfRangeError(f"alpha must lie in [-1, 1], got {alpha}")
-        c = self.params.c
         zeros = self.zero_anchors * self.ratio ** (-alpha)
-        prew_zeros = _prewarp_zeros(zeros, c, self.params.sample_rate_hz)
-        b0, b1 = _numerators(prew_zeros, self.section_dens, c)
+        prew_zeros = _prewarp_zeros(zeros, self.c, self.fs_hz)
+        b0, b1 = _numerators(prew_zeros, self.section_dens, self.c)
         if alpha < 0.0:
             anchor, pole_log_mag = self.level_omega_low, self.pole_log_mag_low
         else:
@@ -311,18 +262,30 @@ class ModulationContext:
 
 
 def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, ModulationContext]:
-    """Digitize a full design and capture the context for live slope changes."""
-    params = DigitizationParams.for_design(design.placement.f1_hz, fs_hz)
-    dfilt, core = _digitize(design.filt, params, design.band)
+    """Digitize a design into a first-order cascade, with the context for live
+    slope changes.
+
+    The cascade is the exact image of the prewarped, truncated prototype under
+    the substitution (see prewarped_prototype), so H_d(e^{j w T}) equals the
+    prototype's response at the prewarped frequency to rounding.  The overall
+    gain is chosen so the digital magnitude at the band center equals the
+    original analog magnitude there.
+    """
+    c = prewarp_constant(design.placement.f1_hz, fs_hz)
+    core = _core_map(design.filt, c, fs_hz, design.band)
+    b0, b1 = _numerators(core.prew_zeros, core.section_dens, c)
+    dfilt = DigitalFilter(sos=_first_order_sos(b0, b1, core.a1), gain=math.exp(core.log_gain),
+                          sample_rate_hz=fs_hz)
     # The prototype axis runs to infinity; only band edges at or above
     # Nyquist have no image and fall back to the clamp point.
     edges_hz = np.minimum([design.band.f_min_hz, design.band.f_max_hz],
                           ZERO_CLAMP_FRACTION * fs_hz)
-    level_low, level_high = (-_prewarp(TWO_PI * edges_hz, params.c, fs_hz)).tolist()
+    level_low, level_high = (-_prewarp(TWO_PI * edges_hz, c, fs_hz)).tolist()
     context = ModulationContext(
         zero_anchors=design.geometric_poles[:len(core.prew_zeros)].copy(),
         ratio=design.placement.r,
-        params=params,
+        c=c,
+        fs_hz=fs_hz,
         section_dens=core.section_dens,
         prew_poles=core.prew_poles,
         level_omega_low=level_low,

@@ -13,8 +13,6 @@ on first use, so only streaming and noise synthesis pay for ``scipy.signal``.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 from scipy.signal import sosfilt
 from scipy.special import ndtri
@@ -50,8 +48,7 @@ class StreamingFilter:
 
     One instance is owned by one processing context at a time; hand the whole
     object between threads, never share it.  Slope updates arrive between
-    blocks, either directly via set_alpha or from another thread through an
-    AlphaMailbox drained by the caller.
+    blocks through set_alpha.
     """
 
     def __init__(self, digital: DigitalFilter, modulation: ModulationContext | None = None):
@@ -113,28 +110,6 @@ class StreamingFilter:
         self._sos[:, 0] = b0
         self._sos[:, 1] = b1
         self._gain = gain
-
-
-class AlphaMailbox:
-    """Single-slot, thread-safe handoff of a pending slope value.
-
-    A newer post replaces an unconsumed one (at most one update is pending);
-    the processing thread drains it between blocks with take().
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value: float | None = None
-
-    def post(self, alpha: float) -> None:
-        with self._lock:
-            self._value = float(alpha)
-
-    def take(self) -> float | None:
-        with self._lock:
-            value = self._value
-            self._value = None
-            return value
 
 
 def colored_noise(

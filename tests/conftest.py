@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spectilt import BandSpec, PlacementResult, SlopeSpec, design_tilt, make_analog_filter
+from spectilt import BandSpec, design_tilt
+from spectilt.design import PlacementResult, SlopeSpec, make_analog_filter
 
 
 @pytest.fixture

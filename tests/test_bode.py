@@ -7,19 +7,14 @@ from spectilt import (
     AnalogFilter,
     BadGoodBandError,
     BandSpec,
-    BodeGrid,
     OutOfRangeError,
-    PlacementResult,
-    SlopeSpec,
     conjecture_convergence,
-    freq_response,
     log_mag_slope,
-    make_analog_filter,
-    place_poles,
     slope_report,
     write_report_csv,
 )
-from spectilt.bode import CSV_HEADER, find_error_extrema
+from spectilt.bode import CSV_HEADER, BodeGrid, find_error_extrema, freq_response
+from spectilt.design import PlacementResult, SlopeSpec, make_analog_filter, place_poles
 
 from conftest import random_band
 
@@ -132,8 +127,6 @@ class TestBodeGrid:
             BodeGrid(omega_log=np.array([0.0, 1.0, 0.5]), points_per_interval=8)
         with pytest.raises(OutOfRangeError):
             BodeGrid(omega_log=np.array([0.0, 0.5, 1.5]), points_per_interval=8)
-        with pytest.raises(OutOfRangeError):
-            BodeGrid(omega_log=np.linspace(0, 1, 9), points_per_interval=4)
         grid = BodeGrid(omega_log=np.linspace(0.0, 2.0, 33), points_per_interval=16)
         assert grid.omega[0] == pytest.approx(1.0)
 
@@ -192,6 +185,13 @@ class TestSlopeReport:
         spec, placement, filt = unit_ladder
         with pytest.raises(BadGoodBandError):
             slope_report(filt, spec, placement, 20, 10)
+
+    def test_points_per_interval_bound(self, unit_ladder):
+        # Checked before the grid is built, so a one-point grid names the bound.
+        spec, placement, filt = unit_ladder
+        for points in (0, 4, 7):
+            with pytest.raises(OutOfRangeError, match="points_per_interval must be at least 8"):
+                slope_report(filt, spec, placement, 20, 3, points_per_interval=points)
 
     def test_integer_part_shifts_target(self):
         # With an integer part the in-band slope approximates alpha + m.

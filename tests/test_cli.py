@@ -297,6 +297,26 @@ class TestNoiseCommand:
         assert np.array_equal(np.fromfile(path, dtype="<f8"), expected)
 
 
+class TestInfiniteSampleRate:
+    @pytest.mark.parametrize("command", ["digitize", "apply", "noise"])
+    def test_exits_2_with_no_output(self, tmp_path, capsys, command):
+        dpath = tmp_path / "d.json"
+        xin = tmp_path / "in.raw"
+        xout = tmp_path / "out.raw"
+        run(capsys, "design", "--alpha", "-0.5", "-o", str(dpath))
+        np.zeros(64).astype("<f8").tofile(xin)
+        argv = {
+            "digitize": ["digitize", "--design", str(dpath)],
+            "apply": ["apply", "--design", str(dpath), "-i", str(xin), "-o", str(xout)],
+            "noise": ["noise", "--samples", "64", "-o", str(xout)],
+        }[command]
+        code, out, err = run(capsys, *argv, "--fs", "inf")
+        assert code == 2
+        assert "sample rate must be finite" in err
+        assert out == ""
+        assert not xout.exists()
+
+
 class TestSweepCommand:
     def test_table_structure_and_order(self, capsys):
         code, out, _ = run(capsys, "sweep", "--alpha", "-0.5",
@@ -341,6 +361,19 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--alpha", "-0.5",
                            "--orders", "5:7", "--skips", "2:2")
         assert code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha", "2"], "alpha must lie in [-1, 1]"),
+        (["--fmin", "20", "--fmax", "20"], "need 0 < f_min < f_max"),
+        (["--points-per-interval", "4"], "points_per_interval must be at least 8"),
+        (["--points-per-interval", "0"], "points_per_interval must be at least 8"),
+    ], ids=["alpha-2", "empty-band", "points-4", "points-0"])
+    def test_bad_input_exits_2_before_header(self, capsys, flags, message):
+        code, out, err = run(capsys, "sweep", "--alpha", "-0.5", "--orders", "8:10:2",
+                             "--skips", "0:1", *flags)
+        assert code == 2
+        assert message in err
+        assert out == ""
 
     def test_empty_grid_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--alpha", "-0.5", "--orders", "oops:4")

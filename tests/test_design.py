@@ -13,18 +13,23 @@ from spectilt import (
     FilterDesignError,
     InvalidBandError,
     OutOfRangeError,
-    PlacementResult,
     PoleOnAxisError,
-    SlopeSpec,
     design_from_json,
     design_tilt,
     design_to_json,
+    digitize_design,
     load_design,
+    save_design,
+    slope_report,
+)
+from spectilt.design import (
+    PlacementResult,
+    SlopeSpec,
     make_analog_filter,
     normalize_gain,
     place_poles,
-    save_design,
 )
+from spectilt.digitize import _core_map
 from spectilt.errors import DesignMismatchError, FileFormatError
 
 from conftest import mutated_json, random_band
@@ -344,3 +349,30 @@ class TestDesignFile:
         assert back.spec.alpha == pytest.approx(-0.5, rel=1e-12)
         assert back.band.f_min_hz == pytest.approx(50.0, rel=1e-12)
         assert back.band.f_max_hz == pytest.approx(5000.0, rel=1e-12)
+
+
+class TestValueEquality:
+    def test_design_file_round_trip_compares_equal(self, default_design):
+        back = design_from_json(design_to_json(default_design))
+        assert back == default_design
+        assert back.filt == default_design.filt
+        other = design_tilt(-0.25)
+        assert other != default_design
+        assert other.filt != default_design.filt
+
+    def test_eq_returns_bool_for_every_array_dataclass(self, default_design):
+        def parts(design):
+            dfilt, ctx = digitize_design(design, 48000.0)
+            report = slope_report(design.filt, design.spec, design.placement,
+                                  design.n, design.k_skip)
+            core = _core_map(design.filt, ctx.c, 48000.0, design.band)
+            return [design, design.filt, dfilt], [ctx, report, report.grid, core]
+
+        by_value, by_identity = parts(default_design)
+        value_twins, identity_twins = parts(design_tilt(-0.5))
+        for a, b in zip(by_value, value_twins):
+            assert (a == b) is True
+            assert (a != b) is False
+        for a, b in zip(by_identity, identity_twins):
+            assert (a == a) is True
+            assert (a == b) is False

@@ -9,25 +9,29 @@ from hypothesis import strategies as st
 from spectilt import (
     AboveNyquistError,
     AnalogFilter,
+    BandSpec,
     DigitalFilter,
-    DigitizationParams,
     EmptyDesignError,
     FilterDesignError,
     OutOfRangeError,
     UnstableMapError,
-    bilinear,
-    coefficients_from_json,
     coefficients_to_json,
     design_tilt,
     digital_response,
     digitize_design,
-    freq_response,
     load_coefficients,
-    prewarp_constant,
     prewarped_prototype,
     save_coefficients,
 )
-from spectilt.digitize import ZERO_CLAMP_FRACTION, _margin_rule_count, _prewarp
+from spectilt.bode import freq_response
+from spectilt.digitize import (
+    ZERO_CLAMP_FRACTION,
+    _core_map,
+    _margin_rule_count,
+    _prewarp,
+    coefficients_from_json,
+    prewarp_constant,
+)
 from spectilt.errors import FileFormatError
 
 from conftest import mutated_json
@@ -60,6 +64,13 @@ class TestPrewarpConstant:
             prewarp_constant(24000.0, 48000.0)
         with pytest.raises(AboveNyquistError):
             prewarp_constant(0.0, 48000.0)
+
+    def test_sample_rate_must_be_positive_and_finite(self):
+        for fs in (0.0, -48000.0, math.nan):
+            with pytest.raises(AboveNyquistError):
+                prewarp_constant(1000.0, fs)
+        with pytest.raises(OutOfRangeError, match="finite"):
+            prewarp_constant(1000.0, math.inf)
 
 
 class TestPrewarpBreak:
@@ -103,14 +114,15 @@ class TestPrewarpBreak:
         # and clamps such zeros.
         assert math.isnan(prewarp_break(24000.0, 100.0, 48000.0))
         assert math.isnan(prewarp_break(30000.0, 100.0, 48000.0))
-        params = DigitizationParams.for_design(100.0, 48000.0)
+        c = prewarp_constant(100.0, 48000.0)
+        band = BandSpec(100.0, 200.0)
         above = AnalogFilter(poles=[-TWO_PI * 100.0, -TWO_PI * 24000.0], zeros=[], gain=1.0)
         with pytest.raises(AboveNyquistError):
-            bilinear(above, params)
+            _core_map(above, c, 48000.0, band)
         clamped = AnalogFilter(poles=[-TWO_PI * 100.0, -TWO_PI * 200.0],
                                zeros=[-TWO_PI * 150.0, -TWO_PI * 30000.0], gain=1.0)
-        proto = prewarped_prototype(clamped, params)
-        assert proto.zeros[1] == -TWO_PI * ZERO_CLAMP_FRACTION * 48000.0
+        core = _core_map(clamped, c, 48000.0, band)
+        assert core.prew_zeros[1] == -TWO_PI * ZERO_CLAMP_FRACTION * 48000.0
 
 
 class TestTruncate:
@@ -137,13 +149,15 @@ class TestTruncate:
 
 
 class TestParams:
-    def test_for_design_binds_constant(self):
-        params = DigitizationParams.for_design(4.0618352418094723, 48000.0)
-        f1 = 4.0618352418094723
-        assert params.c == pytest.approx(
+    def test_for_design_binds_constant(self, default_design):
+        # digitize_design binds the bilinear constant to the design's f1.
+        _, ctx = digitize_design(default_design, 48000.0)
+        f1 = default_design.placement.f1_hz
+        assert ctx.c == prewarp_constant(f1, 48000.0)
+        assert ctx.c == pytest.approx(
             TWO_PI * f1 / math.tan(math.pi * f1 / 48000.0), rel=1e-15
         )
-        assert params.sample_rate_hz == 48000.0
+        assert ctx.fs_hz == 48000.0
 
 
 def _random_design(rng):
@@ -161,18 +175,16 @@ def _random_design(rng):
 
 class TestBilinear:
     def test_pole_map_values(self, default_design):
-        params = DigitizationParams.for_design(default_design.placement.f1_hz, 48000.0)
-        dfilt = bilinear(default_design.filt, params, default_design.band)
-        proto = prewarped_prototype(default_design.filt, params, default_design.band)
+        dfilt, ctx = digitize_design(default_design, 48000.0)
+        proto = prewarped_prototype(default_design, 48000.0)
         # Each section pole is (1 + p/c)/(1 - p/c) for the prewarped pole p.
         for a1, p in zip(dfilt.sos[:, 4], proto.poles):
-            assert -a1 == pytest.approx((1.0 + p / params.c) / (1.0 - p / params.c), rel=1e-12)
+            assert -a1 == pytest.approx((1.0 + p / ctx.c) / (1.0 - p / ctx.c), rel=1e-12)
 
     def test_stability_and_section_count(self, rng):
         for _ in range(40):
             design, fs = _random_design(rng)
-            params = DigitizationParams.for_design(design.placement.f1_hz, fs)
-            dfilt = bilinear(design.filt, params, design.band)
+            dfilt, _ = digitize_design(design, fs)
             assert len(dfilt.sos) <= len(design.filt.poles)
             assert np.all(np.abs(dfilt.sos[:, 4]) < 1.0)
 
@@ -180,35 +192,31 @@ class TestBilinear:
         worst = 0.0
         for _ in range(60):
             design, fs = _random_design(rng)
-            params = DigitizationParams.for_design(design.placement.f1_hz, fs)
-            proto = prewarped_prototype(design.filt, params, design.band)
-            dfilt = bilinear(design.filt, params, design.band)
+            proto = prewarped_prototype(design, fs)
+            dfilt, ctx = digitize_design(design, fs)
             f = rng.uniform(0.01 * fs, 0.49 * fs, size=8)
             hd = digital_response(dfilt, f)
-            ha = freq_response(proto, params.c * np.tan(np.pi * f / fs))
+            ha = freq_response(proto, ctx.c * np.tan(np.pi * f / fs))
             worst = max(worst, float(np.max(np.abs(hd - ha) / np.abs(ha))))
         assert worst < 1e-9
 
     def test_magnitude_match_at_f1(self, default_design):
-        params = DigitizationParams.for_design(default_design.placement.f1_hz, 48000.0)
-        proto = prewarped_prototype(default_design.filt, params, default_design.band)
-        dfilt = bilinear(default_design.filt, params, default_design.band)
+        proto = prewarped_prototype(default_design, 48000.0)
+        dfilt, _ = digitize_design(default_design, 48000.0)
         f1 = default_design.placement.f1_hz
         mag_d = abs(digital_response(dfilt, f1))
         mag_a = abs(freq_response(proto, TWO_PI * f1))
         assert mag_d == pytest.approx(mag_a, rel=1e-9)
 
     def test_band_center_level_matches_analog(self, default_design):
-        params = DigitizationParams.for_design(default_design.placement.f1_hz, 48000.0)
-        dfilt = bilinear(default_design.filt, params, default_design.band)
+        dfilt, _ = digitize_design(default_design, 48000.0)
         fc = default_design.band.center_hz
         target = abs(freq_response(default_design.filt, TWO_PI * fc))
         assert abs(digital_response(dfilt, fc)) == pytest.approx(target, rel=1e-12)
 
     def test_zero_slope_sections_cancel(self):
         design = design_tilt(0.0)
-        params = DigitizationParams.for_design(design.placement.f1_hz, 48000.0)
-        dfilt = bilinear(design.filt, params, design.band)
+        dfilt, _ = digitize_design(design, 48000.0)
         assert np.all(dfilt.sos[:, 0] == 1.0)
         assert np.array_equal(dfilt.sos[:, 1], dfilt.sos[:, 4])
 
@@ -217,8 +225,7 @@ class TestBilinear:
         # carries the digital zero at z = -1 (b0 == b1).
         design = design_tilt(-0.5, order=8, skip=1, f_min_hz=100.0, f_max_hz=5000.0,
                              integer_part=-1)
-        params = DigitizationParams.for_design(design.placement.f1_hz, 48000.0)
-        dfilt = bilinear(design.filt, params, design.band)
+        dfilt, _ = digitize_design(design, 48000.0)
         assert len(dfilt.sos) == len(design.filt.poles)
         b0, b1 = dfilt.sos[-1, :2]
         assert b0 == b1
@@ -230,25 +237,22 @@ class TestBilinear:
         # trip the truncation rule.
         design = design_tilt(-0.3, order=8, skip=1, f_min_hz=100.0, f_max_hz=5000.0,
                              integer_part=-2)
-        params = DigitizationParams.for_design(design.placement.f1_hz, 48000.0)
-        dfilt = bilinear(design.filt, params, design.band)
+        dfilt, _ = digitize_design(design, 48000.0)
         assert len(dfilt.sos) == len(design.filt.poles)
         assert np.all(np.abs(dfilt.sos[:, 4]) < 1.0)
 
     def test_improper_prototype_rejected(self):
         design = design_tilt(0.5, order=8, skip=1, f_min_hz=100.0, f_max_hz=5000.0,
                              integer_part=1)
-        params = DigitizationParams.for_design(design.placement.f1_hz, 48000.0)
         with pytest.raises(UnstableMapError):
-            bilinear(design.filt, params, design.band)
+            digitize_design(design, 48000.0)
 
     def test_zero_clamping_keeps_order(self):
         # alpha = -1 slides the top zero onto the next pole break, whose
         # prewarped position can cross fs/2; it must clamp, not blow up.
         design = design_tilt(-1.0)
-        params = DigitizationParams.for_design(design.placement.f1_hz, 48000.0)
-        dfilt = bilinear(design.filt, params, design.band)
-        proto = prewarped_prototype(design.filt, params, design.band)
+        dfilt, _ = digitize_design(design, 48000.0)
+        proto = prewarped_prototype(design, 48000.0)
         assert np.max(np.abs(proto.zeros)) <= TWO_PI * 0.499 * 48000.0 + 1e-9
         assert np.all(np.abs(dfilt.sos[:, 4]) < 1.0)
 
@@ -303,15 +307,13 @@ class TestModulationContext:
 
 class TestCoefficientFile:
     def test_field_order(self, default_design):
-        params = DigitizationParams.for_design(default_design.placement.f1_hz, 48000.0)
-        dfilt = bilinear(default_design.filt, params, default_design.band)
+        dfilt, _ = digitize_design(default_design, 48000.0)
         obj = json.loads(coefficients_to_json(dfilt))
         assert tuple(obj.keys()) == ("sample_rate_hz", "gain", "sections")
         assert tuple(obj["sections"][0].keys()) == ("b0", "b1", "a1")
 
     def test_round_trip_exact(self, tmp_path, default_design):
-        params = DigitizationParams.for_design(default_design.placement.f1_hz, 48000.0)
-        dfilt = bilinear(default_design.filt, params, default_design.band)
+        dfilt, _ = digitize_design(default_design, 48000.0)
         path = tmp_path / "coeffs.json"
         save_coefficients(dfilt, path)
         back = load_coefficients(path)
@@ -375,10 +377,10 @@ class TestLevelingPrecision:
     def test_band_center_level_matches_analog(self, fs):
         worst = 0.0
         for design in grid_designs():
-            params = DigitizationParams.for_design(design.placement.f1_hz, fs)
-            proto = prewarped_prototype(design.filt, params, design.band)
+            c = prewarp_constant(design.placement.f1_hz, fs)
+            proto = prewarped_prototype(design, fs)
             wc = TWO_PI * design.band.center_hz
-            wc_prew = params.c * math.tan(math.pi * design.band.center_hz / fs)
+            wc_prew = c * math.tan(math.pi * design.band.center_hz / fs)
             err = float(proto.log_magnitude(wc_prew) - design.filt.log_magnitude(wc))
             worst = max(worst, abs(err))
         assert worst < 1e-12
@@ -389,7 +391,7 @@ class TestLevelingPrecision:
         clamp = -TWO_PI * 0.499 * fs
         for design in grid_designs():
             _, ctx = digitize_design(design, fs)
-            c = ctx.params.c
+            c = ctx.c
             for alpha in (-1.0, design.spec.alpha, 1.0):
                 _, _, gain = ctx.rebuild(alpha)
                 half = np.abs(ctx.zero_anchors * ctx.ratio ** (-alpha)) / (2.0 * fs)

@@ -1,11 +1,8 @@
-import threading
-
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
 from spectilt import (
-    AlphaMailbox,
     BandSpec,
     DigitalFilter,
     GaussianSource,
@@ -191,54 +188,6 @@ class TestSetAlpha:
             probe = DigitalFilter(sos=sos, gain=gain, sample_rate_hz=48000.0)
             mags = np.abs(digital_response(probe, f))
             assert np.max(mags) < 1.05
-
-
-class TestAlphaMailbox:
-    def test_at_most_one_pending(self):
-        box = AlphaMailbox()
-        assert box.take() is None
-        box.post(0.25)
-        box.post(-0.5)
-        assert box.take() == -0.5
-        assert box.take() is None
-
-    def test_threaded_handoff(self):
-        box = AlphaMailbox()
-        values = np.linspace(-1.0, 1.0, 100)
-
-        def producer():
-            for v in values:
-                box.post(float(v))
-
-        t = threading.Thread(target=producer)
-        t.start()
-        t.join()
-        assert box.take() == 1.0
-
-    def test_drain_between_blocks(self, default_design):
-        # Control-thread updates land between blocks on the owning context;
-        # the stream stays finite and the denominators never move.
-        box = AlphaMailbox()
-        filt = StreamingFilter.for_design(default_design, 48000.0)
-        a1 = filt.denominators
-        x = GaussianSource(31).block(64 * 64)
-
-        def controller():
-            for v in np.linspace(-1.0, 1.0, 200):
-                box.post(float(v))
-
-        t = threading.Thread(target=controller)
-        t.start()
-        out = []
-        for b in range(64):
-            pending = box.take()
-            if pending is not None:
-                filt.set_alpha(pending)
-            out.append(filt.process(x[b * 64 : (b + 1) * 64]))
-        t.join()
-        y = np.concatenate(out)
-        assert np.all(np.isfinite(y))
-        assert np.array_equal(filt.denominators, a1)
 
 
 class TestNoise:
