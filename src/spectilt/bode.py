@@ -31,23 +31,9 @@ DEFAULT_POINTS_PER_INTERVAL = 64
 
 @dataclass(frozen=True, eq=False)
 class BodeGrid:
-    """Uniform grid in wt = ln(omega), rad/s."""
+    """Uniform grid in wt = ln(omega), rad/s, as a read-only array."""
 
     omega_log: np.ndarray
-    points_per_interval: int
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.omega_log, dtype=np.float64).copy()
-        if arr.ndim != 1 or len(arr) < 2:
-            raise OutOfRangeError("grid needs at least two points")
-        steps = np.diff(arr)
-        if np.any(steps <= 0.0):
-            raise OutOfRangeError("grid must be strictly increasing")
-        if np.max(steps) - np.min(steps) > 1e-9 * np.max(np.abs(steps)):
-            raise OutOfRangeError("grid must be uniformly spaced in ln(omega)")
-        arr.flags.writeable = False
-        object.__setattr__(self, "omega_log", arr)
-        object.__setattr__(self, "points_per_interval", int(self.points_per_interval))
 
     @property
     def omega(self) -> np.ndarray:
@@ -160,7 +146,8 @@ def slope_report(
     start = ln_p0 - ln_r
     npts = (n + 1) * int(points_per_interval) + 1
     omega_log = np.linspace(start, ln_p0 + n * ln_r, npts)
-    grid = BodeGrid(omega_log=omega_log, points_per_interval=points_per_interval)
+    omega_log.flags.writeable = False
+    grid = BodeGrid(omega_log=omega_log)
 
     omega = grid.omega
     slope = log_mag_slope(filt, omega)

@@ -103,10 +103,6 @@ def cmd_bode(args) -> int:
 
 def cmd_digitize(args) -> int:
     design = load_design(args.design)
-    if args.fs <= 2.0 * design.band.f_min_hz:
-        raise FilterDesignError(
-            f"sample rate {args.fs} Hz must exceed twice f_min ({design.band.f_min_hz} Hz)"
-        )
     dfilt, _ = digitize_design(design, args.fs)
     dropped = len(design.filt.poles) - len(dfilt.sos)
     print(
@@ -140,7 +136,7 @@ def _check_whole_samples(fh_in) -> None:
         raise _partial_sample_error(remaining)
 
 
-def _stream_blocks(fh_in, fh_out, filt, block: int, schedule, fs: float) -> None:
+def _stream_blocks(fh_in, fh_out, filt, block: int, schedule) -> None:
     """Pump raw float64 samples through the filter, updating the slope per
     block when a schedule is given."""
     pos = 0
@@ -152,7 +148,7 @@ def _stream_blocks(fh_in, fh_out, filt, block: int, schedule, fs: float) -> None
             raise _partial_sample_error(8 * pos + len(raw))
         x = np.frombuffer(raw, dtype="<f8")
         if schedule is not None:
-            filt.set_alpha(schedule(pos / fs))
+            filt.set_alpha(schedule(pos / filt.sample_rate_hz))
         y = filt.process(x)
         _write_samples(fh_out, y)
         pos += len(x)
@@ -189,14 +185,11 @@ def cmd_apply(args) -> int:
                                 "carry no pole-zero context)")
     schedule = _parse_sweep(args.alpha_sweep) if args.alpha_sweep is not None else None
 
-    fs = args.fs or 0.0
     if args.design is not None:
         design = load_design(args.design)
         filt = StreamingFilter.for_design(design, args.fs)
     else:
-        dfilt = load_coefficients(args.coeffs)
-        filt = StreamingFilter(dfilt)
-        fs = dfilt.sample_rate_hz
+        filt = StreamingFilter(load_coefficients(args.coeffs))
     block = CONTROL_BLOCK if schedule is not None else STREAM_CHUNK
 
     fh_in = open(args.input, "rb") if args.input not in (None, "-") else sys.stdin.buffer
@@ -204,7 +197,7 @@ def cmd_apply(args) -> int:
         _check_whole_samples(fh_in)
         fh_out = open(args.output, "wb") if args.output not in (None, "-") else sys.stdout.buffer
         try:
-            _stream_blocks(fh_in, fh_out, filt, block, schedule, fs)
+            _stream_blocks(fh_in, fh_out, filt, block, schedule)
         finally:
             if fh_out is not sys.stdout.buffer:
                 fh_out.close()

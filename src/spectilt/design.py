@@ -109,15 +109,16 @@ def _as_readonly(values) -> np.ndarray:
 
 
 def value_eq(self, other) -> bool:
-    """Field-by-field equality for frozen dataclasses that hold arrays; the
-    generated __eq__ would call bool() on an elementwise array comparison."""
+    """Field-by-field equality for frozen dataclasses that hold arrays.  Each is
+    declared eq=False with ``__eq__ = value_eq`` in its body, so it is unhashable
+    instead of getting generated methods that fail on the arrays."""
     if type(other) is not type(self):
         return NotImplemented
     return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                for f in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalogFilter:
     """s-plane prototype: negative-real poles and zeros plus a positive gain.
 
@@ -249,7 +250,7 @@ def normalize_gain(filt: AnalogFilter, band: BandSpec) -> AnalogFilter:
     return replace(filt, gain=math.exp(-log_mag))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TiltDesign:
     """A complete design record: inputs, solved placement, and the prototype."""
 
@@ -263,6 +264,8 @@ class TiltDesign:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "k_skip", int(self.k_skip))
+
+    __eq__ = value_eq
 
     @property
     def geometric_poles(self) -> np.ndarray:

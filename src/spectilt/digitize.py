@@ -78,7 +78,7 @@ def _first_order_sos(b0, b1, a1) -> np.ndarray:
     return sos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DigitalFilter:
     """Cascade of first-order sections (b0 + b1/z) / (1 + a1/z) with one block-level gain.
 
@@ -103,6 +103,8 @@ class DigitalFilter:
             raise OutOfRangeError(f"gain must be positive and finite, got {self.gain}")
         if not (self.sample_rate_hz > 0.0 and math.isfinite(self.sample_rate_hz)):
             raise OutOfRangeError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        if not len(sos):
+            raise EmptyDesignError("a cascade needs at least one section")
         sos.flags.writeable = False
         object.__setattr__(self, "sos", sos)
         object.__setattr__(self, "gain", float(self.gain))
@@ -138,18 +140,9 @@ def _prewarp_zeros(zeros_rad_s: np.ndarray, c: float, fs_hz: float) -> np.ndarra
     return np.fmax(_prewarp(zeros_rad_s, c, fs_hz), -TWO_PI * ZERO_CLAMP_FRACTION * fs_hz)
 
 
-@dataclass(frozen=True, eq=False)
-class _CoreMap:
-    """Everything the bilinear map produces before sections are assembled."""
-
-    prew_poles: np.ndarray
-    prew_zeros: np.ndarray
-    section_dens: np.ndarray
-    a1: np.ndarray
-    log_gain: float
-
-
-def _core_map(filt: AnalogFilter, c: float, fs_hz: float, band: BandSpec) -> _CoreMap:
+def _prototype(filt: AnalogFilter, c: float, fs_hz: float, band: BandSpec) -> AnalogFilter:
+    """Truncated, prewarped filter whose zeros are clamped below fs/2 and whose
+    magnitude at the prewarped band center is the analog one at the center."""
     if len(filt.zeros) > len(filt.poles):
         raise UnstableMapError(
             "more zeros than poles: the substitution would place digital poles at z=-1; "
@@ -167,13 +160,6 @@ def _core_map(filt: AnalogFilter, c: float, fs_hz: float, band: BandSpec) -> _Co
         raise AboveNyquistError("break frequency at or above fs/2 cannot be prewarped")
     prew_zeros = _prewarp_zeros(kept_zeros, c, fs_hz)
 
-    section_dens = c - prew_poles
-    a1 = -(c + prew_poles) / section_dens
-    if np.any(np.abs(a1) >= 1.0):
-        raise UnstableMapError("a mapped pole landed on or outside the unit circle")
-
-    # Level the gain so the digital magnitude at the band center equals the
-    # original analog magnitude there.
     if band.center_hz >= 0.5 * fs_hz:
         raise AboveNyquistError(f"band center {band.center_hz} Hz is not below fs/2")
     wc = TWO_PI * band.center_hz
@@ -183,13 +169,7 @@ def _core_map(filt: AnalogFilter, c: float, fs_hz: float, band: BandSpec) -> _Co
     have = (log_gain + _scalar_log_mag(prew_zeros, wc_prew)
             - _scalar_log_mag(prew_poles, wc_prew))
     log_gain += target - have
-    return _CoreMap(
-        prew_poles=prew_poles,
-        prew_zeros=prew_zeros,
-        section_dens=section_dens,
-        a1=a1,
-        log_gain=log_gain,
-    )
+    return AnalogFilter(poles=prew_poles, zeros=prew_zeros, gain=math.exp(log_gain))
 
 
 def _numerators(prew_zeros: np.ndarray, section_dens: np.ndarray, c: float):
@@ -207,11 +187,8 @@ def _numerators(prew_zeros: np.ndarray, section_dens: np.ndarray, c: float):
 
 def prewarped_prototype(design: TiltDesign, fs_hz: float) -> AnalogFilter:
     """The truncated, prewarped s-plane filter that ``digitize_design`` maps."""
-    c = prewarp_constant(design.placement.f1_hz, fs_hz)
-    core = _core_map(design.filt, c, fs_hz, design.band)
-    return AnalogFilter(
-        poles=core.prew_poles, zeros=core.prew_zeros, gain=math.exp(core.log_gain)
-    )
+    return _prototype(design.filt, prewarp_constant(design.placement.f1_hz, fs_hz),
+                      fs_hz, design.band)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,16 +242,18 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
     """Digitize a design into a first-order cascade, with the context for live
     slope changes.
 
-    The cascade is the exact image of the prewarped, truncated prototype under
-    the substitution (see prewarped_prototype), so H_d(e^{j w T}) equals the
-    prototype's response at the prewarped frequency to rounding.  The overall
-    gain is chosen so the digital magnitude at the band center equals the
-    original analog magnitude there.
+    Each prewarped pole p and zero z of the prototype (see prewarped_prototype)
+    maps to the section pole (c + p)/(c - p) and zero (c + z)/(c - z), and the
+    prototype's gain, leveled at the band center, is the cascade's gain, so
+    H_d(e^{j w T}) equals the prototype's response at the prewarped frequency
+    to rounding.
     """
     c = prewarp_constant(design.placement.f1_hz, fs_hz)
-    core = _core_map(design.filt, c, fs_hz, design.band)
-    b0, b1 = _numerators(core.prew_zeros, core.section_dens, c)
-    dfilt = DigitalFilter(sos=_first_order_sos(b0, b1, core.a1), gain=math.exp(core.log_gain),
+    proto = _prototype(design.filt, c, fs_hz, design.band)
+    section_dens = c - proto.poles
+    a1 = -(c + proto.poles) / section_dens
+    b0, b1 = _numerators(proto.zeros, section_dens, c)
+    dfilt = DigitalFilter(sos=_first_order_sos(b0, b1, a1), gain=proto.gain,
                           sample_rate_hz=fs_hz)
     # The prototype axis runs to infinity; only band edges at or above
     # Nyquist have no image and fall back to the clamp point.
@@ -282,12 +261,12 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
                           ZERO_CLAMP_FRACTION * fs_hz)
     level_low, level_high = (-_prewarp(TWO_PI * edges_hz, c, fs_hz)).tolist()
     context = ModulationContext(
-        zero_anchors=design.geometric_poles[:len(core.prew_zeros)].copy(),
+        zero_anchors=design.geometric_poles[:len(proto.zeros)].copy(),
         ratio=design.placement.r,
         c=c,
         fs_hz=fs_hz,
-        section_dens=core.section_dens,
-        prew_poles=core.prew_poles,
+        section_dens=section_dens,
+        prew_poles=proto.poles,
         level_omega_low=level_low,
         level_omega_high=level_high,
     )

@@ -30,7 +30,7 @@ class AboveNyquistError(FilterDesignError):
 
 
 class EmptyDesignError(FilterDesignError):
-    """Truncation leaves no usable pole below the Nyquist limit."""
+    """Truncation leaves no usable pole below the Nyquist limit, or a cascade has no section."""
 
 
 class UnstableMapError(FilterDesignError):

@@ -22,8 +22,6 @@ from .digitize import DigitalFilter, ModulationContext, digitize_design
 from .errors import OutOfRangeError
 
 DEFAULT_BAND = BandSpec(20.0, 20000.0)
-DEFAULT_ORDER = 20
-DEFAULT_SKIP = 3
 
 # Samples per control block when a slope schedule is applied.
 CONTROL_BLOCK = 64
@@ -94,10 +92,7 @@ class StreamingFilter:
             return x.copy()
         if not np.isfinite(x).all():
             raise ValueError("input block contains NaN or Inf")
-        if len(self._sos):
-            y, self._state = sosfilt(self._sos, x, zi=self._state)
-        else:  # an empty cascade passes samples through
-            y = x.copy()
+        y, self._state = sosfilt(self._sos, x, zi=self._state)
         y *= self._gain
         return y
 
@@ -118,14 +113,11 @@ def colored_noise(
     n_samples: int,
     fs_hz: float,
     band: BandSpec = DEFAULT_BAND,
-    order: int = DEFAULT_ORDER,
-    skip: int = DEFAULT_SKIP,
 ) -> np.ndarray:
-    """Unit-variance white noise shaped by the slope-alpha design for the band."""
+    """Unit-variance white noise shaped by the stock slope-alpha design for the band."""
     if int(n_samples) < 1:
         raise OutOfRangeError(f"need at least one sample, got {n_samples}")
-    design = design_tilt(alpha, order=order, skip=skip,
-                         f_min_hz=band.f_min_hz, f_max_hz=band.f_max_hz)
+    design = design_tilt(alpha, f_min_hz=band.f_min_hz, f_max_hz=band.f_max_hz)
     filt = StreamingFilter.for_design(design, fs_hz)
     white = GaussianSource(seed).block(int(n_samples))
     return filt.process(white)

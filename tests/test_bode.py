@@ -13,7 +13,7 @@ from spectilt import (
     slope_report,
     write_report_csv,
 )
-from spectilt.bode import CSV_HEADER, BodeGrid, find_error_extrema, freq_response
+from spectilt.bode import CSV_HEADER, find_error_extrema, freq_response
 from spectilt.design import PlacementResult, SlopeSpec, make_analog_filter, place_poles
 
 from conftest import random_band
@@ -121,16 +121,6 @@ class TestLogMagSlope:
         assert np.max(np.abs(s + 0.5)) < 0.05
 
 
-class TestBodeGrid:
-    def test_validation(self):
-        with pytest.raises(OutOfRangeError):
-            BodeGrid(omega_log=np.array([0.0, 1.0, 0.5]), points_per_interval=8)
-        with pytest.raises(OutOfRangeError):
-            BodeGrid(omega_log=np.array([0.0, 0.5, 1.5]), points_per_interval=8)
-        grid = BodeGrid(omega_log=np.linspace(0.0, 2.0, 33), points_per_interval=16)
-        assert grid.omega[0] == pytest.approx(1.0)
-
-
 class TestSlopeReport:
     def test_zero_slope_error_is_zero(self):
         spec = SlopeSpec(0.0)
@@ -148,6 +138,9 @@ class TestSlopeReport:
         assert rep.grid.omega_log[0] == pytest.approx(-1.0, abs=1e-12)
         assert rep.grid.omega_log[-1] == pytest.approx(20.0, abs=1e-12)
         assert len(rep.grid.omega_log) == 21 * 16 + 1
+        assert rep.grid.omega[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+        with pytest.raises(ValueError):
+            rep.grid.omega_log[0] = 0.0
         assert rep.good_band == (pytest.approx(3.0, abs=1e-12), pytest.approx(16.0, abs=1e-12))
 
     def test_alternating_extrema(self, unit_ladder):

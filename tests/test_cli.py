@@ -165,7 +165,8 @@ class TestApplyCommand:
         lambda obj: obj["sections"][3].pop("a1"),
         lambda obj: obj.update(sections=5),
         lambda obj: obj["sections"].__setitem__(2, None),
-    ], ids=["missing-a1", "sections-5", "null-row"])
+        lambda obj: obj.update(sections=[]),
+    ], ids=["missing-a1", "sections-5", "null-row", "no-sections"])
     def test_malformed_coefficients_exit_2_before_output(self, tmp_path, capsys, mangle):
         _, cpath = self._design_and_coeffs(tmp_path, capsys)
         obj = json.loads(cpath.read_text())

@@ -1,5 +1,6 @@
 import json
 import math
+from collections.abc import Hashable
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spectilt import (
     design_to_json,
     digitize_design,
     load_design,
+    prewarped_prototype,
     save_design,
     slope_report,
 )
@@ -29,7 +31,6 @@ from spectilt.design import (
     normalize_gain,
     place_poles,
 )
-from spectilt.digitize import _core_map
 from spectilt.errors import DesignMismatchError, FileFormatError
 
 from conftest import mutated_json, random_band
@@ -365,8 +366,8 @@ class TestValueEquality:
             dfilt, ctx = digitize_design(design, 48000.0)
             report = slope_report(design.filt, design.spec, design.placement,
                                   design.n, design.k_skip)
-            core = _core_map(design.filt, ctx.c, 48000.0, design.band)
-            return [design, design.filt, dfilt], [ctx, report, report.grid, core]
+            proto = prewarped_prototype(design, 48000.0)
+            return [design, design.filt, dfilt, proto], [ctx, report, report.grid]
 
         by_value, by_identity = parts(default_design)
         value_twins, identity_twins = parts(design_tilt(-0.5))
@@ -376,3 +377,11 @@ class TestValueEquality:
         for a, b in zip(by_identity, identity_twins):
             assert (a == a) is True
             assert (a == b) is False
+
+    def test_array_types_are_unhashable(self, default_design):
+        dfilt, _ = digitize_design(default_design, 48000.0)
+        for obj in (default_design, default_design.filt, dfilt):
+            name = type(obj).__name__
+            assert not isinstance(obj, Hashable), name
+            with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+                hash(obj)

@@ -26,9 +26,9 @@ from spectilt import (
 from spectilt.bode import freq_response
 from spectilt.digitize import (
     ZERO_CLAMP_FRACTION,
-    _core_map,
     _margin_rule_count,
     _prewarp,
+    _prototype,
     coefficients_from_json,
     prewarp_constant,
 )
@@ -118,11 +118,11 @@ class TestPrewarpBreak:
         band = BandSpec(100.0, 200.0)
         above = AnalogFilter(poles=[-TWO_PI * 100.0, -TWO_PI * 24000.0], zeros=[], gain=1.0)
         with pytest.raises(AboveNyquistError):
-            _core_map(above, c, 48000.0, band)
+            _prototype(above, c, 48000.0, band)
         clamped = AnalogFilter(poles=[-TWO_PI * 100.0, -TWO_PI * 200.0],
                                zeros=[-TWO_PI * 150.0, -TWO_PI * 30000.0], gain=1.0)
-        core = _core_map(clamped, c, 48000.0, band)
-        assert core.prew_zeros[1] == -TWO_PI * ZERO_CLAMP_FRACTION * 48000.0
+        proto = _prototype(clamped, c, 48000.0, band)
+        assert proto.zeros[1] == -TWO_PI * ZERO_CLAMP_FRACTION * 48000.0
 
 
 class TestTruncate:
@@ -262,6 +262,10 @@ class TestBilinear:
         with pytest.raises(UnstableMapError):
             DigitalFilter(sos=[[1.0, 0.5, 0.0, 1.0, np.nan, 0.0]], gain=1.0,
                           sample_rate_hz=48000.0)
+
+    def test_empty_cascade_rejected_at_type(self):
+        with pytest.raises(EmptyDesignError):
+            DigitalFilter(sos=np.zeros((0, 6)), gain=1.0, sample_rate_hz=48000.0)
 
     def test_rows_must_be_first_order(self):
         for sos in ([[1.0, 0.5, 0.1, 1.0, -0.5, 0.0]], [[1.0, 0.5, 0.0, 2.0, -0.5, 0.0]],

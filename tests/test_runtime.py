@@ -63,14 +63,6 @@ class TestProcess:
         y = filt.process(np.ones(4))
         assert y == pytest.approx([2.5] * 4)
 
-    def test_empty_cascade_applies_gain_only(self):
-        filt = StreamingFilter(DigitalFilter(sos=np.zeros((0, 6)), gain=2.0,
-                                           sample_rate_hz=48000.0))
-        x = np.array([1.0, -0.5, 3.0])
-        assert np.array_equal(filt.process(x), 2.0 * x)
-        assert np.array_equal(x, [1.0, -0.5, 3.0])
-        assert filt.denominators.size == 0
-
     def test_linearity(self, default_design):
         x = np.random.default_rng(11).standard_normal(2048)
         y = np.random.default_rng(12).standard_normal(2048)
