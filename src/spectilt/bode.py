@@ -44,16 +44,15 @@ class BodeGrid:
 class SlopeReport:
     """Gridded slope, slope error, and equal-ripple statistics over a band.
 
-    ``error`` is slope minus the design target; ``good_band`` bounds are in
-    ln(rad/s); ``extrema`` holds parabola-refined (wt, error) pairs at the
-    interior error extrema.
+    ``filt`` is the graded filter; ``error`` is slope minus the design target;
+    ``good_band`` bounds are in ln(rad/s); ``extrema`` holds parabola-refined
+    (wt, error) pairs at the interior error extrema.
     """
 
+    filt: AnalogFilter
     grid: BodeGrid
     slope: np.ndarray
     error: np.ndarray
-    mag_db: np.ndarray
-    phase_rad: np.ndarray
     good_band: tuple[float, float]
     max_abs_error_in_band: float
     extrema: tuple[tuple[float, float], ...]
@@ -149,11 +148,8 @@ def slope_report(
     omega_log.flags.writeable = False
     grid = BodeGrid(omega_log=omega_log)
 
-    omega = grid.omega
-    slope = log_mag_slope(filt, omega)
+    slope = log_mag_slope(filt, grid.omega)
     error = slope - spec.total_slope
-    mag_db = DB_PER_NEPER * filt.log_magnitude(omega)
-    phase = filt.phase(omega)
 
     lo = ln_p0 + k_skip * ln_r
     hi = ln_p0 + (n - 1 - k_skip) * ln_r
@@ -163,11 +159,10 @@ def slope_report(
     extrema = find_error_extrema(omega_log, error, lo, hi)
 
     return SlopeReport(
+        filt=filt,
         grid=grid,
         slope=slope,
         error=error,
-        mag_db=mag_db,
-        phase_rad=phase,
         good_band=(lo, hi),
         max_abs_error_in_band=max_err,
         extrema=extrema,
@@ -233,18 +228,22 @@ def conjecture_convergence(
 
 
 def write_report_csv(report: SlopeReport, metadata: dict[str, str], fh) -> None:
-    """Emit the report as CSV; ``metadata`` entries become '#' comment lines."""
+    """Emit the report as CSV; ``metadata`` entries become '#' comment lines.
+
+    The magnitude and phase columns are evaluated here, on the report's grid.
+    """
     for key, value in metadata.items():
         fh.write(f"# {key}={value}\n")
     lo, hi = report.good_band
     fh.write(f"# good_band_ln_rad_s=[{lo!r}, {hi!r}]\n")
     fh.write(f"# max_abs_slope_error_in_band={report.max_abs_error_in_band!r}\n")
     fh.write(CSV_HEADER + "\n")
+    omega = report.grid.omega
     columns = (
-        report.grid.omega,
+        omega,
         report.grid.omega_log,
-        report.mag_db,
-        report.phase_rad,
+        DB_PER_NEPER * report.filt.log_magnitude(omega),
+        report.filt.phase(omega),
         report.slope,
         report.error,
     )

@@ -8,6 +8,7 @@ float64 with no header; the sample rate always comes from a flag.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import stat
 import sys
@@ -40,12 +41,21 @@ def _add_band_flags(p: argparse.ArgumentParser) -> None:
                         "a lower edge f0 with bandwidth bw maps to --fmin f0 --fmax f0+bw")
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _open_stream(path: str | None, mode: str):
+    """Open ``path`` in ``mode``; None or "-" lends stdin or stdout instead,
+    which is left open."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        std = sys.stdin if "r" in mode else sys.stdout
+        yield std.buffer if "b" in mode else std
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+
+
+def _write_text(path: str | None, text: str) -> None:
+    with _open_stream(path, "w") as fh:
+        fh.write(text)
 
 
 def _parse_range(text: str, what: str) -> range:
@@ -124,16 +134,24 @@ def _partial_sample_error(n_bytes: int) -> StreamFormatError:
                              "sample: raw streams are whole 8-byte float64 values")
 
 
-def _check_whole_samples(fh_in) -> None:
-    """Reject a regular input file that ends in a partial sample before any
-    output is written; pipes are checked at their tail by _stream_blocks."""
+def _check_input_file(fh_in) -> None:
+    """Reject a regular input file that ends in a partial sample or holds a
+    NaN or Inf before any output is written.  The file is read once in
+    STREAM_CHUNK-sample pieces and rewound; pipes are checked block by block
+    as _stream_blocks pumps them."""
     try:
         info = os.fstat(fh_in.fileno())
-        remaining = info.st_size - fh_in.tell()
+        start = fh_in.tell()
     except OSError:  # not seekable, or no file descriptor at all
         return
-    if stat.S_ISREG(info.st_mode) and remaining % 8:
-        raise _partial_sample_error(remaining)
+    if not stat.S_ISREG(info.st_mode):
+        return
+    if (info.st_size - start) % 8:
+        raise _partial_sample_error(info.st_size - start)
+    while raw := fh_in.read(STREAM_CHUNK * 8):
+        if not np.isfinite(np.frombuffer(raw, dtype="<f8")).all():
+            raise StreamFormatError("input contains NaN or Inf")
+    fh_in.seek(start)
 
 
 def _stream_blocks(fh_in, fh_out, filt, block: int, schedule) -> None:
@@ -192,18 +210,10 @@ def cmd_apply(args) -> int:
         filt = StreamingFilter(load_coefficients(args.coeffs))
     block = CONTROL_BLOCK if schedule is not None else STREAM_CHUNK
 
-    fh_in = open(args.input, "rb") if args.input not in (None, "-") else sys.stdin.buffer
-    try:
-        _check_whole_samples(fh_in)
-        fh_out = open(args.output, "wb") if args.output not in (None, "-") else sys.stdout.buffer
-        try:
+    with _open_stream(args.input, "rb") as fh_in:
+        _check_input_file(fh_in)
+        with _open_stream(args.output, "wb") as fh_out:
             _stream_blocks(fh_in, fh_out, filt, block, schedule)
-        finally:
-            if fh_out is not sys.stdout.buffer:
-                fh_out.close()
-    finally:
-        if fh_in is not sys.stdin.buffer:
-            fh_in.close()
     return 0
 
 
@@ -217,13 +227,9 @@ def cmd_noise(args) -> int:
         fs_hz=args.fs,
         band=BandSpec(args.fmin, args.fmax),
     )
-    fh_out = open(args.output, "wb") if args.output not in (None, "-") else sys.stdout.buffer
-    try:
+    with _open_stream(args.output, "wb") as fh_out:
         _write_samples(fh_out, samples)
         fh_out.flush()
-    finally:
-        if fh_out is not sys.stdout.buffer:
-            fh_out.close()
     return 0
 
 
@@ -317,13 +323,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FilterDesignError as exc:
+    except (OSError, ValueError) as exc:  # FilterDesignError is a ValueError
         print(f"spectilt: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (OSError, ValueError) as exc:
-        print(f"spectilt: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"spectilt: internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

@@ -14,7 +14,7 @@ just below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,7 +202,9 @@ class ModulationContext:
     spans (f_max/f_min)**|alpha| in gain, so any interior anchor would let a
     band edge run tens of dB hot as |alpha| approaches 1, while edge
     anchoring caps the in-band gain at one for every slope.  The pole half of
-    the leveling log magnitude is fixed per anchor and computed once here.
+    the leveling log magnitude is fixed per anchor, so ``digitize_design``
+    computes it once from the prewarped poles (``pole_log_mag_low/high``);
+    the poles themselves are not kept, since rebuild never reads them.
     """
 
     zero_anchors: np.ndarray
@@ -210,17 +212,10 @@ class ModulationContext:
     c: float
     fs_hz: float
     section_dens: np.ndarray
-    prew_poles: np.ndarray
     level_omega_low: float
     level_omega_high: float
-    pole_log_mag_low: float = field(init=False)
-    pole_log_mag_high: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pole_log_mag_low",
-                           _scalar_log_mag(self.prew_poles, self.level_omega_low))
-        object.__setattr__(self, "pole_log_mag_high",
-                           _scalar_log_mag(self.prew_poles, self.level_omega_high))
+    pole_log_mag_low: float
+    pole_log_mag_high: float
 
     def rebuild(self, alpha: float):
         """New (b0, b1, gain) for a slope value; denominators are untouched."""
@@ -266,9 +261,10 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
         c=c,
         fs_hz=fs_hz,
         section_dens=section_dens,
-        prew_poles=proto.poles,
         level_omega_low=level_low,
         level_omega_high=level_high,
+        pole_log_mag_low=_scalar_log_mag(proto.poles, level_low),
+        pole_log_mag_high=_scalar_log_mag(proto.poles, level_high),
     )
     return dfilt, context
 

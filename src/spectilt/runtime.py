@@ -32,8 +32,7 @@ class GaussianSource:
     the inverse normal CDF.  The same seed always yields the same samples."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._rng = np.random.Generator(np.random.Philox(key=self.seed & (2**64 - 1)))
+        self._rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
 
     def block(self, n: int) -> np.ndarray:
         """Next n samples; consecutive calls continue the stream."""

@@ -9,6 +9,7 @@ from spectilt import (
     BandSpec,
     OutOfRangeError,
     conjecture_convergence,
+    design_tilt,
     log_mag_slope,
     slope_report,
     write_report_csv,
@@ -267,3 +268,20 @@ class TestCsv:
         first = [float(v) for v in rows[0].split(",")]
         assert len(first) == 6
         assert first[0] == pytest.approx(math.exp(first[1]), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.7])
+    def test_magnitude_and_phase_match_direct_product(self, alpha):
+        design = design_tilt(alpha, order=12)
+        filt = design.filt
+        rep = slope_report(filt, design.spec, design.placement, design.n, design.k_skip,
+                           points_per_interval=8)
+        buf = io.StringIO()
+        write_report_csv(rep, {}, buf)
+        rows = np.array([[float(v) for v in ln.split(",")]
+                         for ln in buf.getvalue().splitlines()[3:]])
+        assert len(rows) == len(rep.grid.omega_log)
+        jw = 1j * rows[:, 0]
+        h = filt.gain * np.prod(jw[:, None] - filt.zeros, axis=1) / np.prod(
+            jw[:, None] - filt.poles, axis=1)
+        assert np.max(np.abs(rows[:, 2] - 20.0 * np.log10(np.abs(h)))) < 1e-9
+        assert np.max(np.abs(np.exp(1j * rows[:, 3]) - h / np.abs(h))) < 1e-12

@@ -257,6 +257,23 @@ class TestApplyCommand:
         assert "partial sample" in err
         assert not xout.exists()
 
+    @pytest.mark.parametrize("source", ["coeffs", "design"])
+    def test_late_nan_file_exits_2_before_output(self, tmp_path, capsys, source):
+        dpath, cpath = self._design_and_coeffs(tmp_path, capsys)
+        xin = tmp_path / "in.raw"
+        xout = tmp_path / "out.raw"
+        # The bad sample lies past the first 64 Ki-sample read.
+        x = np.ones(70000)
+        x[66000] = np.nan
+        x.astype("<f8").tofile(xin)
+        flags = (["--coeffs", str(cpath)] if source == "coeffs"
+                 else ["--design", str(dpath), "--fs", "48000"])
+        code, out, err = run(capsys, "apply", *flags, "-i", str(xin), "-o", str(xout))
+        assert code == 2
+        assert out == ""
+        assert "internal error" not in err
+        assert not xout.exists()
+
     def test_partial_sample_pipe_exits_2_at_tail(self, tmp_path, capsys, monkeypatch):
         _, cpath = self._design_and_coeffs(tmp_path, capsys)
         raw = np.ones(1000).astype("<f8").tobytes() + b"\x00" * 5
@@ -391,6 +408,15 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_unexpected_failure_exits_1(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(spectilt.cli, "cmd_design", boom)
+        code, _, err = run(capsys, "design", "--alpha", "-0.5")
+        assert code == 1
+        assert "internal error" in err
 
     @pytest.mark.parametrize(
         "command", ["design", "bode", "digitize", "apply", "noise", "sweep"]
