@@ -83,8 +83,8 @@ class DigitalFilter:
     """Cascade of first-order sections (b0 + b1/z) / (1 + a1/z) with one block-level gain.
 
     ``sos`` is a read-only (n, 6) array holding one row [b0, b1, 0, 1, a1, 0]
-    per section, the layout scipy.signal.sosfilt runs; section k has its
-    pole at z = -a1.
+    per section, the second-order-section layout of scipy's compiled cascade
+    loop, which StreamingFilter runs; section k has its pole at z = -a1.
     """
 
     sos: np.ndarray
@@ -172,17 +172,19 @@ def _prototype(filt: AnalogFilter, c: float, fs_hz: float, band: BandSpec) -> An
     return AnalogFilter(poles=prew_poles, zeros=prew_zeros, gain=math.exp(log_gain))
 
 
-def _numerators(prew_zeros: np.ndarray, section_dens: np.ndarray, c: float):
-    """b0/b1 per section; sections past the zero list get the zero at z=-1."""
-    n = len(section_dens)
-    b0 = np.empty(n)
-    b1 = np.empty(n)
+def _numerators(prew_zeros: np.ndarray, section_dens: np.ndarray, c: float,
+                b0: np.ndarray, b1: np.ndarray) -> None:
+    """Write b0/b1 per section into b0 and b1; sections past the zero list get
+    the zero at z=-1."""
     nz = len(prew_zeros)
+    if nz == len(section_dens):
+        np.divide(c - prew_zeros, section_dens, out=b0)
+        np.divide(-(c + prew_zeros), section_dens, out=b1)
+        return
     b0[:nz] = (c - prew_zeros) / section_dens[:nz]
     b1[:nz] = -(c + prew_zeros) / section_dens[:nz]
     b0[nz:] = 1.0 / section_dens[nz:]
     b1[nz:] = 1.0 / section_dens[nz:]
-    return b0, b1
 
 
 def prewarped_prototype(design: TiltDesign, fs_hz: float) -> AnalogFilter:
@@ -219,18 +221,23 @@ class ModulationContext:
 
     def rebuild(self, alpha: float):
         """New (b0, b1, gain) for a slope value; denominators are untouched."""
+        b0, b1 = np.empty((2, len(self.section_dens)))
+        return b0, b1, self._rebuild_into(alpha, b0, b1)
+
+    def _rebuild_into(self, alpha: float, b0: np.ndarray, b1: np.ndarray) -> float:
+        """rebuild writing the numerators into b0 and b1, which may be the
+        columns of a live cascade; returns the gain."""
         alpha = float(alpha)
         if not -1.0 <= alpha <= 1.0:
             raise OutOfRangeError(f"alpha must lie in [-1, 1], got {alpha}")
         zeros = self.zero_anchors * self.ratio ** (-alpha)
         prew_zeros = _prewarp_zeros(zeros, self.c, self.fs_hz)
-        b0, b1 = _numerators(prew_zeros, self.section_dens, self.c)
+        _numerators(prew_zeros, self.section_dens, self.c, b0, b1)
         if alpha < 0.0:
             anchor, pole_log_mag = self.level_omega_low, self.pole_log_mag_low
         else:
             anchor, pole_log_mag = self.level_omega_high, self.pole_log_mag_high
-        gain = math.exp(pole_log_mag - _scalar_log_mag(prew_zeros, anchor))
-        return b0, b1, gain
+        return math.exp(pole_log_mag - _scalar_log_mag(prew_zeros, anchor))
 
 
 def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, ModulationContext]:
@@ -247,7 +254,8 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
     proto = _prototype(design.filt, c, fs_hz, design.band)
     section_dens = c - proto.poles
     a1 = -(c + proto.poles) / section_dens
-    b0, b1 = _numerators(proto.zeros, section_dens, c)
+    b0, b1 = np.empty((2, len(section_dens)))
+    _numerators(proto.zeros, section_dens, c, b0, b1)
     dfilt = DigitalFilter(sos=_first_order_sos(b0, b1, a1), gain=proto.gain,
                           sample_rate_hz=fs_hz)
     # The prototype axis runs to infinity; only band edges at or above

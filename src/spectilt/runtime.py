@@ -1,21 +1,26 @@
 """Streaming sample processing, live slope modulation, and 1/f-family noise.
 
-The cascade is one ``scipy.signal.sosfilt`` call per block over first-order
-rows ``[b0, b1, 0, 1, a1, 0]``.  Each row runs in transposed direct form, so
-coefficients can be swapped between blocks without disturbing the stored
-state.  Because the poles of a tilt design never move, changing the slope
-only rewrites the numerator columns (and the block-level gain): the
-denominators are bit-identical across any modulation schedule.
+The cascade runs first-order rows ``[b0, b1, 0, 1, a1, 0]`` through the
+compiled loop behind ``scipy.signal.sosfilt``, one call per block.  Each row
+runs in transposed direct form, so coefficients can be swapped between
+blocks without disturbing the stored state.  Because the poles of a tilt
+design never move, changing the slope only rewrites the numerator columns
+(and the block-level gain): the denominators are bit-identical across any
+modulation schedule.
 
 This is the only module that loads scipy; the package and the CLI import it
-on first use, so only streaming and noise synthesis pay for ``scipy.signal``.
+on first use.  The compiled loop is loaded from its extension file, so
+streaming never imports ``scipy.signal`` (about a second), and only noise
+synthesis imports ``scipy.special``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+
 import numpy as np
-from scipy.signal import sosfilt
-from scipy.special import ndtri
 
 from .design import BandSpec, TiltDesign, design_tilt
 from .digitize import DigitalFilter, ModulationContext, digitize_design
@@ -27,6 +32,47 @@ DEFAULT_BAND = BandSpec(20.0, 20000.0)
 CONTROL_BLOCK = 64
 
 
+def _compiled_cascade():
+    """scipy's compiled ``_sosfilt(sos, x, zi)``, loaded from its extension
+    file without importing ``scipy.signal``; None if it is missing or no
+    longer filters a (1, n) block and a (1, sections, 2) state in place."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "signal", "_sosfilt" + suffix)
+            if not os.path.isfile(path):
+                continue
+            try:
+                ext = importlib.util.spec_from_file_location("scipy.signal._sosfilt", path)
+                module = importlib.util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                kernel = module._sosfilt
+                # y = x + 0.25*x[-1] + 0.5*y[-1] from a stored state of 2:
+                # y = [3, 1.75], leaving 0.5*1.75 in the state.
+                x = np.array([[1.0, 0.0]])
+                zi = np.array([[[2.0, 0.0]]])
+                kernel(np.array([[1.0, 0.25, 0.0, 1.0, -0.5, 0.0]]), x, zi)
+            except (ImportError, AttributeError, TypeError, ValueError):
+                return None
+            in_place = x.tolist() == [[3.0, 1.75]] and zi.tolist() == [[[0.875, 0.0]]]
+            return kernel if in_place else None
+    return None
+
+
+def _public_cascade(sos, x, zi) -> None:
+    """``scipy.signal.sosfilt`` with the compiled loop's in-place contract."""
+    from scipy.signal import sosfilt
+
+    x[0], zi[0] = sosfilt(sos, x[0], zi=zi[0])
+
+
+# Chosen once: the public wrapper costs the scipy.signal import and about
+# 25 us a call on top of the same loop, so it runs only where the compiled
+# loop cannot be reached.
+_cascade = _compiled_cascade() or _public_cascade
+
+
 class GaussianSource:
     """Deterministic standard-normal stream: counter-based uniforms through
     the inverse normal CDF.  The same seed always yields the same samples."""
@@ -36,6 +82,8 @@ class GaussianSource:
 
     def block(self, n: int) -> np.ndarray:
         """Next n samples; consecutive calls continue the stream."""
+        from scipy.special import ndtri
+
         u = (self._rng.integers(0, 1 << 53, size=int(n), dtype=np.int64) + 0.5) * 2.0**-53
         return ndtri(u)
 
@@ -52,7 +100,8 @@ class StreamingFilter:
         # A writable copy: set_alpha rewrites the numerator columns in place.
         self._sos = digital.sos.copy()
         self._gain = digital.gain
-        self._state = np.zeros((len(self._sos), 2))
+        # Updated in place by every block, in the kernel's (1, sections, 2) layout.
+        self._state = np.zeros((1, len(self._sos), 2))
         self._fs = digital.sample_rate_hz
         self._mod = modulation
 
@@ -91,7 +140,14 @@ class StreamingFilter:
             return x.copy()
         if not np.isfinite(x).all():
             raise ValueError("input block contains NaN or Inf")
-        y, self._state = sosfilt(self._sos, x, zi=self._state)
+        return self._run(x)
+
+    def _run(self, x: np.ndarray) -> np.ndarray:
+        """process for a non-empty one-dimensional float64 block already known
+        to be finite (the CLI scans a regular input file whole first)."""
+        y = np.array(x, ndmin=2)
+        _cascade(self._sos, y, self._state)
+        y = y[0]
         y *= self._gain
         return y
 
@@ -100,10 +156,7 @@ class StreamingFilter:
         if self._mod is None:
             raise OutOfRangeError("this filter was built from bare coefficients; "
                                   "slope modulation needs the design context")
-        b0, b1, gain = self._mod.rebuild(float(alpha))
-        self._sos[:, 0] = b0
-        self._sos[:, 1] = b1
-        self._gain = gain
+        self._gain = self._mod._rebuild_into(alpha, self._sos[:, 0], self._sos[:, 1])
 
 
 def colored_noise(

@@ -274,6 +274,42 @@ class TestApplyCommand:
         assert "internal error" not in err
         assert not xout.exists()
 
+    def test_nan_in_pipe_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A pipe cannot be scanned ahead, so each block is checked as it streams.
+        _, cpath = self._design_and_coeffs(tmp_path, capsys)
+        x = np.ones(70000)
+        x[66000] = np.nan
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(x.astype("<f8").tobytes())))
+        code, _, err = run(capsys, "apply", "--coeffs", str(cpath),
+                           "-o", str(tmp_path / "out.raw"))
+        assert code == 2
+        assert "NaN or Inf" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("piped", [False, True])
+    def test_block_check_skipped_only_after_file_scan(self, tmp_path, capsys, monkeypatch,
+                                                      piped):
+        from spectilt.runtime import StreamingFilter
+
+        checked = []
+        process = StreamingFilter.process
+
+        def counting_process(self, block):
+            checked.append(len(block))
+            return process(self, block)
+
+        _, cpath = self._design_and_coeffs(tmp_path, capsys)
+        xin = tmp_path / "in.raw"
+        np.ones(1000).astype("<f8").tofile(xin)
+        flags = ["-i", str(xin)]
+        if piped:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(xin.read_bytes())))
+            flags = []
+        monkeypatch.setattr(StreamingFilter, "process", counting_process)
+        code, _, err = run(capsys, "apply", "--coeffs", str(cpath), *flags,
+                           "-o", str(tmp_path / "out.raw"))
+        assert code == 0, err
+        assert checked == ([1000] if piped else [])
+
     def test_partial_sample_pipe_exits_2_at_tail(self, tmp_path, capsys, monkeypatch):
         _, cpath = self._design_and_coeffs(tmp_path, capsys)
         raw = np.ones(1000).astype("<f8").tobytes() + b"\x00" * 5
@@ -416,7 +452,8 @@ class TestTopLevel:
         monkeypatch.setattr(spectilt.cli, "cmd_design", boom)
         code, _, err = run(capsys, "design", "--alpha", "-0.5")
         assert code == 1
-        assert "internal error" in err
+        line = boom.__code__.co_firstlineno + 1
+        assert err == f"spectilt: internal error: RuntimeError: boom (test_cli.py:{line} in boom)\n"
 
     @pytest.mark.parametrize(
         "command", ["design", "bode", "digitize", "apply", "noise", "sweep"]
@@ -436,7 +473,8 @@ assert not loaded, loaded
 
 
 class TestLazyScipy:
-    """Only apply and noise stream samples; nothing else may load scipy."""
+    """Only apply and noise stream samples; nothing else may load scipy, and
+    streaming never loads scipy.signal."""
 
     @staticmethod
     def _python(code, cwd):
@@ -479,3 +517,27 @@ class TestLazyScipy:
             "assert pink_noise is spectilt.runtime.pink_noise\n",
             tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+    def test_streaming_loads_no_scipy_signal(self, tmp_path):
+        x = np.random.default_rng(4).standard_normal(1000)
+        x.astype("<f8").tofile(tmp_path / "in.raw")
+        argvs = [
+            ["design", "--alpha", "-0.5", "-o", "d.json"],
+            ["digitize", "--design", "d.json", "--fs", "48000", "-o", "c.json"],
+            ["apply", "--coeffs", "c.json", "-i", "in.raw", "-o", "static.raw"],
+            ["apply", "--design", "d.json", "--fs", "48000", "--alpha-sweep=-1:1:0.01",
+             "-i", "in.raw", "-o", "swept.raw"],
+        ]
+        code = (
+            "import sys\n"
+            "import spectilt.runtime\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            "from spectilt import cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            "assert 'scipy.special' not in sys.modules\n"
+        )
+        proc = self._python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "swept.raw").stat().st_size == 8000

@@ -37,6 +37,7 @@ import numpy as np
 import pytest
 import scipy
 
+from spectilt import runtime
 from spectilt import (
     FilterDesignError,
     StreamingFilter,
@@ -114,24 +115,27 @@ def coefficient_digests() -> dict[str, str]:
     return out
 
 
-def stream_digests() -> dict[str, str]:
+def stream_outputs():
+    """(key, filtered samples) for every golden stream."""
     x = np.random.default_rng(STREAM_SEED).standard_normal(STREAM_SAMPLES)
-    out = {}
     for name, (args, fs) in STREAM_DESIGNS.items():
         design = _design(*args)
         dfilt = digitize_design(design, fs)[0]
         for chunk in STATIC_CHUNKS:
             filt = StreamingFilter(dfilt)
             y = np.concatenate([filt.process(x[i:i + chunk]) for i in range(0, len(x), chunk)])
-            out[f"stream-static-{chunk} {name}"] = _sha(y.astype("<f8").tobytes())
+            yield f"stream-static-{chunk} {name}", y
         filt = StreamingFilter.for_design(design, fs)
         n_blocks = len(x) // CONTROL_BLOCK
         pieces = []
         for j in range(n_blocks):
             filt.set_alpha(-1.0 + 2.0 * j / (n_blocks - 1))
             pieces.append(filt.process(x[j * CONTROL_BLOCK:(j + 1) * CONTROL_BLOCK]))
-        out[f"stream-modulated {name}"] = _sha(np.concatenate(pieces).astype("<f8").tobytes())
-    return out
+        yield f"stream-modulated {name}", np.concatenate(pieces)
+
+
+def stream_digests() -> dict[str, str]:
+    return {key: _sha(y.astype("<f8").tobytes()) for key, y in stream_outputs()}
 
 
 def toolchain() -> dict[str, str]:
@@ -171,6 +175,17 @@ def test_coefficient_files_bit_identical(golden):
 
 def test_streams_bit_identical(golden):
     _assert_matches(golden, stream_digests())
+
+
+def test_public_sosfilt_fallback_gives_the_same_bits(monkeypatch):
+    # Streaming runs scipy's compiled loop directly; where that private
+    # module cannot be used, the runtime falls back to scipy.signal.sosfilt,
+    # which wraps the same loop.  Both must give every golden stream exactly.
+    compiled = dict(stream_outputs())
+    monkeypatch.setattr(runtime, "_cascade", runtime._public_cascade)
+    public = dict(stream_outputs())
+    assert compiled.keys() == public.keys()
+    assert [key for key in compiled if not np.array_equal(compiled[key], public[key])] == []
 
 
 def main() -> None:

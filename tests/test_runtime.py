@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from spectilt import runtime
 from spectilt import (
     BandSpec,
     DigitalFilter,
@@ -122,6 +125,26 @@ class TestKernelReference:
         filt = StreamingFilter(dfilt)
         y = np.concatenate([filt.process(x[i:i + chunk]) for i in range(0, n, chunk)])
         assert np.array_equal(y, _per_section_lfilter(dfilt, x))
+
+
+class TestCascadeSelection:
+    """The compiled loop is chosen once at import; the public wrapper only
+    where the loop cannot be loaded (tests/test_golden.py shows both paths
+    give the same bits)."""
+
+    def test_compiled_loop_is_selected(self):
+        assert runtime._cascade is sys.modules["scipy.signal._sosfilt"]._sosfilt
+
+    def test_missing_extension_yields_no_compiled_loop(self, monkeypatch):
+        monkeypatch.setattr(runtime.importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        assert runtime._compiled_cascade() is None
+
+    def test_state_is_updated_in_place(self, default_design):
+        filt = StreamingFilter.for_design(default_design, 48000.0)
+        state = filt._state
+        filt.process(GaussianSource(3).block(100))
+        assert filt._state is state and state.shape == (1, len(filt.denominators), 2)
+        assert np.any(state != 0.0)
 
 
 class TestSetAlpha:
