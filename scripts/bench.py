@@ -10,8 +10,10 @@ one process at a time.  The file it writes in the checkout's root holds, per
 workload, the median and quartiles of every end-to-end metric over the
 seeds, the per-layer metrics of the traced run, the operation counts, and
 the machine's core count, the Python, numpy and scipy versions and the git
-revision.  Each performance change re-runs it and commits the next file, so
-a claim compares two committed files.  If a run fails or any output check
+revision.  Each performance change re-runs it and commits the next file as
+a record of its numbers.  Two files are run at different times, not in
+alternating pairs, so they record a trajectory but cannot by themselves show
+a gain on a machine whose speed drifts.  If a run fails or any output check
 fails, nothing is written and the exit code is 1.
 """
 

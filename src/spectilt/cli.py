@@ -134,32 +134,29 @@ def _partial_sample_error(n_bytes: int) -> StreamFormatError:
                              "sample: raw streams are whole 8-byte float64 values")
 
 
-def _check_input_file(fh_in) -> bool:
+def _check_input_file(fh_in) -> None:
     """Reject a regular input file that ends in a partial sample or holds a
     NaN or Inf before any output is written.  The file is read once in
     STREAM_CHUNK-sample pieces and rewound; pipes are checked block by block
-    as _stream_blocks pumps them.  True if the file was scanned."""
+    as _stream_blocks pumps them."""
     try:
         info = os.fstat(fh_in.fileno())
         start = fh_in.tell()
     except OSError:  # not seekable, or no file descriptor at all
-        return False
+        return
     if not stat.S_ISREG(info.st_mode):
-        return False
+        return
     if (info.st_size - start) % 8:
         raise _partial_sample_error(info.st_size - start)
     while raw := fh_in.read(STREAM_CHUNK * 8):
         if not np.isfinite(np.frombuffer(raw, dtype="<f8")).all():
             raise StreamFormatError("input contains NaN or Inf")
     fh_in.seek(start)
-    return True
 
 
-def _stream_blocks(fh_in, fh_out, filt, block: int, schedule, scanned: bool) -> None:
+def _stream_blocks(fh_in, fh_out, filt, block: int, schedule) -> None:
     """Pump raw float64 samples through the filter, updating the slope per
-    block when a schedule is given.  Input that _check_input_file has
-    scanned skips the per-block finiteness check."""
-    run = filt._run if scanned else filt.process
+    block when a schedule is given."""
     pos = 0
     while True:
         raw = fh_in.read(block * 8)
@@ -170,7 +167,7 @@ def _stream_blocks(fh_in, fh_out, filt, block: int, schedule, scanned: bool) -> 
         x = np.frombuffer(raw, dtype="<f8")
         if schedule is not None:
             filt.set_alpha(schedule(pos / filt.sample_rate_hz))
-        y = run(x)
+        y = filt.process(x)
         _write_samples(fh_out, y)
         pos += len(x)
     fh_out.flush()
@@ -214,9 +211,9 @@ def cmd_apply(args) -> int:
     block = CONTROL_BLOCK if schedule is not None else STREAM_CHUNK
 
     with _open_stream(args.input, "rb") as fh_in:
-        scanned = _check_input_file(fh_in)
+        _check_input_file(fh_in)
         with _open_stream(args.output, "wb") as fh_out:
-            _stream_blocks(fh_in, fh_out, filt, block, schedule, scanned)
+            _stream_blocks(fh_in, fh_out, filt, block, schedule)
     return 0
 
 

@@ -177,10 +177,6 @@ def _numerators(prew_zeros: np.ndarray, section_dens: np.ndarray, c: float,
     """Write b0/b1 per section into b0 and b1; sections past the zero list get
     the zero at z=-1."""
     nz = len(prew_zeros)
-    if nz == len(section_dens):
-        np.divide(c - prew_zeros, section_dens, out=b0)
-        np.divide(-(c + prew_zeros), section_dens, out=b1)
-        return
     b0[:nz] = (c - prew_zeros) / section_dens[:nz]
     b1[:nz] = -(c + prew_zeros) / section_dens[:nz]
     b0[nz:] = 1.0 / section_dens[nz:]

@@ -140,11 +140,6 @@ class StreamingFilter:
             return x.copy()
         if not np.isfinite(x).all():
             raise ValueError("input block contains NaN or Inf")
-        return self._run(x)
-
-    def _run(self, x: np.ndarray) -> np.ndarray:
-        """process for a non-empty one-dimensional float64 block already known
-        to be finite (the CLI scans a regular input file whole first)."""
         y = np.array(x, ndmin=2)
         _cascade(self._sos, y, self._state)
         y = y[0]

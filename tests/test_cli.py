@@ -285,30 +285,27 @@ class TestApplyCommand:
         assert code == 2
         assert "NaN or Inf" in err and "internal error" not in err
 
-    @pytest.mark.parametrize("piped", [False, True])
-    def test_block_check_skipped_only_after_file_scan(self, tmp_path, capsys, monkeypatch,
-                                                      piped):
-        from spectilt.runtime import StreamingFilter
-
-        checked = []
-        process = StreamingFilter.process
-
-        def counting_process(self, block):
-            checked.append(len(block))
-            return process(self, block)
+    def test_nan_appended_after_file_scan_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A file still being written can grow after the whole-file scan; the
+        # samples read past the scan are still checked block by block.
+        import spectilt.cli
 
         _, cpath = self._design_and_coeffs(tmp_path, capsys)
         xin = tmp_path / "in.raw"
-        np.ones(1000).astype("<f8").tofile(xin)
-        flags = ["-i", str(xin)]
-        if piped:
-            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(xin.read_bytes())))
-            flags = []
-        monkeypatch.setattr(StreamingFilter, "process", counting_process)
-        code, _, err = run(capsys, "apply", "--coeffs", str(cpath), *flags,
+        np.ones(70000).astype("<f8").tofile(xin)
+        scan = spectilt.cli._check_input_file
+
+        def scan_then_append(fh_in):
+            scanned = scan(fh_in)
+            with open(xin, "ab") as fh:
+                fh.write(np.array([np.nan]).astype("<f8").tobytes())
+            return scanned
+
+        monkeypatch.setattr(spectilt.cli, "_check_input_file", scan_then_append)
+        code, _, err = run(capsys, "apply", "--coeffs", str(cpath), "-i", str(xin),
                            "-o", str(tmp_path / "out.raw"))
-        assert code == 0, err
-        assert checked == ([1000] if piped else [])
+        assert code == 2
+        assert "NaN or Inf" in err and "internal error" not in err
 
     def test_partial_sample_pipe_exits_2_at_tail(self, tmp_path, capsys, monkeypatch):
         _, cpath = self._design_and_coeffs(tmp_path, capsys)
