@@ -49,8 +49,8 @@ from .errors import (
 __version__ = "0.1.0"
 
 # The streaming runtime is the only layer that needs scipy (its compiled
-# cascade loop, and scipy.special for noise), whose import costs more than
-# everything else here; load it on first use.
+# cascade loop), whose import costs more than everything else here; load it
+# on first use.
 _RUNTIME_NAMES = frozenset({"GaussianSource", "StreamingFilter", "colored_noise", "pink_noise"})
 
 

@@ -218,17 +218,13 @@ def cmd_apply(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    from .runtime import colored_noise
+    from .runtime import _noise_blocks
 
-    samples = colored_noise(
-        args.color,
-        seed=args.seed,
-        n_samples=args.samples,
-        fs_hz=args.fs,
-        band=BandSpec(args.fmin, args.fmax),
-    )
+    blocks = _noise_blocks(args.color, args.seed, args.samples, args.fs,
+                           BandSpec(args.fmin, args.fmax), STREAM_CHUNK)
     with _open_stream(args.output, "wb") as fh_out:
-        _write_samples(fh_out, samples)
+        for samples in blocks:
+            _write_samples(fh_out, samples)
         fh_out.flush()
     return 0
 

@@ -10,8 +10,8 @@ modulation schedule.
 
 This is the only module that loads scipy; the package and the CLI import it
 on first use.  The compiled loop is loaded from its extension file, so
-streaming never imports ``scipy.signal`` (about a second), and only noise
-synthesis imports ``scipy.special``.
+streaming never imports ``scipy.signal`` (about a second).  Noise draws its
+normals from numpy's Philox generator and loads no further scipy module.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
+import sys
 
 import numpy as np
 
@@ -32,10 +33,15 @@ DEFAULT_BAND = BandSpec(20.0, 20000.0)
 CONTROL_BLOCK = 64
 
 
-def _compiled_cascade():
-    """scipy's compiled ``_sosfilt(sos, x, zi)``, loaded from its extension
-    file without importing ``scipy.signal``; None if it is missing or no
-    longer filters a (1, n) block and a (1, sections, 2) state in place."""
+def _sosfilt_module():
+    """The extension module ``scipy.signal._sosfilt``: the one already
+    imported, else loaded from its file without importing ``scipy.signal``;
+    None if there is no such file.  A module loaded here leaves no
+    parentless entry in ``sys.modules``; a later ``import scipy.signal``
+    binds the same module object."""
+    name = "scipy.signal._sosfilt"
+    if name in sys.modules:
+        return sys.modules[name]
     spec = importlib.util.find_spec("scipy")
     roots = spec.submodule_search_locations if spec else None
     for root in roots or ():
@@ -43,21 +49,32 @@ def _compiled_cascade():
             path = os.path.join(root, "signal", "_sosfilt" + suffix)
             if not os.path.isfile(path):
                 continue
+            ext = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(ext)
             try:
-                ext = importlib.util.spec_from_file_location("scipy.signal._sosfilt", path)
-                module = importlib.util.module_from_spec(ext)
                 ext.loader.exec_module(module)
-                kernel = module._sosfilt
-                # y = x + 0.25*x[-1] + 0.5*y[-1] from a stored state of 2:
-                # y = [3, 1.75], leaving 0.5*1.75 in the state.
-                x = np.array([[1.0, 0.0]])
-                zi = np.array([[[2.0, 0.0]]])
-                kernel(np.array([[1.0, 0.25, 0.0, 1.0, -0.5, 0.0]]), x, zi)
-            except (ImportError, AttributeError, TypeError, ValueError):
-                return None
-            in_place = x.tolist() == [[3.0, 1.75]] and zi.tolist() == [[[0.875, 0.0]]]
-            return kernel if in_place else None
+            finally:
+                # The extension registers itself on exec.
+                if sys.modules.get(name) is module:
+                    del sys.modules[name]
+            return module
     return None
+
+
+def _compiled_cascade():
+    """scipy's compiled ``_sosfilt(sos, x, zi)``; None if it is missing or no
+    longer filters a (1, n) block and a (1, sections, 2) state in place."""
+    try:
+        kernel = _sosfilt_module()._sosfilt
+        # y = x + 0.25*x[-1] + 0.5*y[-1] from a stored state of 2:
+        # y = [3, 1.75], leaving 0.5*1.75 in the state.
+        x = np.array([[1.0, 0.0]])
+        zi = np.array([[[2.0, 0.0]]])
+        kernel(np.array([[1.0, 0.25, 0.0, 1.0, -0.5, 0.0]]), x, zi)
+    except (ImportError, AttributeError, TypeError, ValueError):
+        return None
+    in_place = x.tolist() == [[3.0, 1.75]] and zi.tolist() == [[[0.875, 0.0]]]
+    return kernel if in_place else None
 
 
 def _public_cascade(sos, x, zi) -> None:
@@ -74,18 +91,16 @@ _cascade = _compiled_cascade() or _public_cascade
 
 
 class GaussianSource:
-    """Deterministic standard-normal stream: counter-based uniforms through
-    the inverse normal CDF.  The same seed always yields the same samples."""
+    """Deterministic standard-normal stream from numpy's counter-based Philox
+    generator.  The same seed always yields the same samples, however the
+    stream is split into blocks."""
 
     def __init__(self, seed: int):
         self._rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
 
     def block(self, n: int) -> np.ndarray:
         """Next n samples; consecutive calls continue the stream."""
-        from scipy.special import ndtri
-
-        u = (self._rng.integers(0, 1 << 53, size=int(n), dtype=np.int64) + 0.5) * 2.0**-53
-        return ndtri(u)
+        return self._rng.standard_normal(int(n))
 
 
 class StreamingFilter:
@@ -154,6 +169,20 @@ class StreamingFilter:
         self._gain = self._mod._rebuild_into(alpha, self._sos[:, 0], self._sos[:, 1])
 
 
+def _noise_blocks(alpha: float, seed: int, n_samples: int, fs_hz: float,
+                  band: BandSpec, block: int):
+    """colored_noise's samples as filtered blocks of ``block`` samples, the
+    last one shorter if need be.  Every argument is checked and the filter
+    built before this returns; the blocks are drawn as they are consumed."""
+    n = int(n_samples)
+    if n < 1:
+        raise OutOfRangeError(f"need at least one sample, got {n_samples}")
+    design = design_tilt(alpha, f_min_hz=band.f_min_hz, f_max_hz=band.f_max_hz)
+    filt = StreamingFilter.for_design(design, fs_hz)
+    source = GaussianSource(seed)
+    return (filt.process(source.block(min(block, n - i))) for i in range(0, n, block))
+
+
 def colored_noise(
     alpha: float,
     seed: int,
@@ -162,12 +191,7 @@ def colored_noise(
     band: BandSpec = DEFAULT_BAND,
 ) -> np.ndarray:
     """Unit-variance white noise shaped by the stock slope-alpha design for the band."""
-    if int(n_samples) < 1:
-        raise OutOfRangeError(f"need at least one sample, got {n_samples}")
-    design = design_tilt(alpha, f_min_hz=band.f_min_hz, f_max_hz=band.f_max_hz)
-    filt = StreamingFilter.for_design(design, fs_hz)
-    white = GaussianSource(seed).block(int(n_samples))
-    return filt.process(white)
+    return next(_noise_blocks(alpha, seed, n_samples, fs_hz, band, int(n_samples)))
 
 
 def pink_noise(seed: int, n_samples: int, fs_hz: float, band: BandSpec = DEFAULT_BAND) -> np.ndarray:

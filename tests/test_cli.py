@@ -10,6 +10,8 @@ import pytest
 import spectilt
 
 from spectilt import (
+    BandSpec,
+    colored_noise,
     design_from_json,
     design_tilt,
     load_coefficients,
@@ -18,7 +20,7 @@ from spectilt import (
     slope_report,
 )
 from spectilt.bode import CSV_HEADER
-from spectilt.cli import main
+from spectilt.cli import STREAM_CHUNK, main
 
 
 def run(capsys, *argv):
@@ -347,6 +349,26 @@ class TestNoiseCommand:
         expected = pink_noise(seed=21, n_samples=1024, fs_hz=48000.0)
         assert np.array_equal(np.fromfile(path, dtype="<f8"), expected)
 
+    def test_streamed_bytes_equal_one_library_call(self, tmp_path, capsys):
+        # Three whole blocks and a partial tail.
+        n = 3 * STREAM_CHUNK + 17
+        path = tmp_path / "n.raw"
+        code, _, _ = run(capsys, "noise", "--color", "-0.3", "--samples", str(n),
+                         "--seed", "5", "--fs", "44100", "--fmin", "30", "-o", str(path))
+        assert code == 0
+        expected = colored_noise(-0.3, seed=5, n_samples=n, fs_hz=44100.0,
+                                 band=BandSpec(30.0, 20000.0))
+        assert path.read_bytes() == expected.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_no_samples_exits_2_with_no_output(self, tmp_path, capsys, samples):
+        path = tmp_path / "n.raw"
+        code, out, err = run(capsys, "noise", "--samples", samples, "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("spectilt:") == 1 and err.startswith("spectilt:")
+        assert not path.exists()
+
 
 class TestInfiniteSampleRate:
     @pytest.mark.parametrize("command", ["digitize", "apply", "noise"])
@@ -471,7 +493,7 @@ assert not loaded, loaded
 
 class TestLazyScipy:
     """Only apply and noise stream samples; nothing else may load scipy, and
-    streaming never loads scipy.signal."""
+    neither loads scipy.signal or scipy.special."""
 
     @staticmethod
     def _python(code, cwd):
@@ -538,3 +560,23 @@ class TestLazyScipy:
         proc = self._python(code, tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "swept.raw").stat().st_size == 8000
+
+    def test_noise_loads_no_scipy_signal_or_special(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from spectilt import cli\n"
+            "assert cli.main(['noise', '--samples', '1000', '-o', 'n.raw']) == 0\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            "assert 'scipy.special' not in sys.modules\n"
+        )
+        proc = self._python(code, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "n.raw").stat().st_size == 8000
+
+    def test_later_scipy_signal_import_binds_the_kernel(self, tmp_path):
+        proc = self._python(
+            "import spectilt.runtime\n"
+            "import scipy.signal\n"
+            "assert scipy.signal._sosfilt._sosfilt is spectilt.runtime._cascade\n",
+            tmp_path)
+        assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from spectilt import runtime
@@ -30,6 +32,19 @@ class TestGaussianSource:
         src = GaussianSource(7)
         joined = np.concatenate([src.block(100), src.block(156)])
         assert np.array_equal(joined, GaussianSource(7).block(256))
+
+    def test_odd_pieces_equal_one_call(self):
+        src = GaussianSource(11)
+        pieces = [src.block(n) for n in (1, 63, 1000, 4096, 17)]
+        assert np.array_equal(np.concatenate(pieces), GaussianSource(11).block(5177))
+
+    @given(seed=st.integers(0, 2**64 - 1),
+           sizes=st.lists(st.integers(0, 300), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_draws_do_not_depend_on_chunking(self, seed, sizes):
+        src = GaussianSource(seed)
+        joined = np.concatenate([src.block(n) for n in sizes])
+        assert np.array_equal(joined, GaussianSource(seed).block(sum(sizes)))
 
     def test_unit_variance_and_zero_mean(self):
         x = GaussianSource(42).block(1 << 18)
@@ -136,6 +151,7 @@ class TestCascadeSelection:
         assert runtime._cascade is sys.modules["scipy.signal._sosfilt"]._sosfilt
 
     def test_missing_extension_yields_no_compiled_loop(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.signal._sosfilt", raising=False)
         monkeypatch.setattr(runtime.importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
         assert runtime._compiled_cascade() is None
 
