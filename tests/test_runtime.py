@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
@@ -33,13 +33,9 @@ class TestGaussianSource:
         joined = np.concatenate([src.block(100), src.block(156)])
         assert np.array_equal(joined, GaussianSource(7).block(256))
 
-    def test_odd_pieces_equal_one_call(self):
-        src = GaussianSource(11)
-        pieces = [src.block(n) for n in (1, 63, 1000, 4096, 17)]
-        assert np.array_equal(np.concatenate(pieces), GaussianSource(11).block(5177))
-
     @given(seed=st.integers(0, 2**64 - 1),
            sizes=st.lists(st.integers(0, 300), min_size=1, max_size=8))
+    @example(seed=11, sizes=[1, 63, 1000, 4096, 17])
     @settings(max_examples=100, deadline=None)
     def test_draws_do_not_depend_on_chunking(self, seed, sizes):
         src = GaussianSource(seed)
