@@ -2,7 +2,8 @@
 
 Subcommands mirror the library layers.  Sample streams are raw little-endian
 float64 with no header; the sample rate always comes from a flag.  Exit codes:
-0 success, 2 usage or validation error, 1 internal error.
+0 success (a reader that closes stdout early ends a stream quietly), 2 usage
+or validation error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 1
 
 STREAM_CHUNK = 1 << 16
+# Samples per control block when a slope schedule is applied.
+CONTROL_BLOCK = 64
 
 
 def _add_band_flags(p: argparse.ArgumentParser) -> None:
@@ -124,21 +127,31 @@ def cmd_digitize(args) -> int:
     return 0
 
 
-def _write_samples(fh_out, samples: np.ndarray) -> None:
-    """Write raw little-endian float64 without copying samples already in that form."""
-    fh_out.write(np.ascontiguousarray(samples, dtype="<f8").data)
+def _read_blocks(fh_in, block: int):
+    """Raw little-endian float64 samples from fh_in, read ``block`` at a time;
+    a stream that ends in a partial sample raises StreamFormatError."""
+    n_bytes = 0
+    while raw := fh_in.read(block * 8):
+        n_bytes += len(raw)
+        if len(raw) % 8:
+            raise StreamFormatError(f"input holds {n_bytes} bytes, which ends in a partial "
+                                    "sample: raw streams are whole 8-byte float64 values")
+        yield np.frombuffer(raw, dtype="<f8")
 
 
-def _partial_sample_error(n_bytes: int) -> StreamFormatError:
-    return StreamFormatError(f"input holds {n_bytes} bytes, which ends in a partial "
-                             "sample: raw streams are whole 8-byte float64 values")
+def _write_blocks(fh_out, blocks) -> None:
+    """Write each block as raw little-endian float64 (no copy for blocks
+    already in that form), then flush."""
+    for samples in blocks:
+        fh_out.write(np.ascontiguousarray(samples, dtype="<f8").data)
+    fh_out.flush()
 
 
 def _check_input_file(fh_in) -> None:
     """Reject a regular input file that ends in a partial sample or holds a
     NaN or Inf before any output is written.  The file is read once in
     STREAM_CHUNK-sample pieces and rewound; pipes are checked block by block
-    as _stream_blocks pumps them."""
+    as they stream."""
     try:
         info = os.fstat(fh_in.fileno())
         start = fh_in.tell()
@@ -146,31 +159,10 @@ def _check_input_file(fh_in) -> None:
         return
     if not stat.S_ISREG(info.st_mode):
         return
-    if (info.st_size - start) % 8:
-        raise _partial_sample_error(info.st_size - start)
-    while raw := fh_in.read(STREAM_CHUNK * 8):
-        if not np.isfinite(np.frombuffer(raw, dtype="<f8")).all():
+    for x in _read_blocks(fh_in, STREAM_CHUNK):
+        if not np.isfinite(x).all():
             raise StreamFormatError("input contains NaN or Inf")
     fh_in.seek(start)
-
-
-def _stream_blocks(fh_in, fh_out, filt, block: int, schedule) -> None:
-    """Pump raw float64 samples through the filter, updating the slope per
-    block when a schedule is given."""
-    pos = 0
-    while True:
-        raw = fh_in.read(block * 8)
-        if not raw:
-            break
-        if len(raw) % 8:
-            raise _partial_sample_error(8 * pos + len(raw))
-        x = np.frombuffer(raw, dtype="<f8")
-        if schedule is not None:
-            filt.set_alpha(schedule(pos / filt.sample_rate_hz))
-        y = filt.process(x)
-        _write_samples(fh_out, y)
-        pos += len(x)
-    fh_out.flush()
 
 
 def _parse_sweep(text: str):
@@ -192,7 +184,7 @@ def _parse_sweep(text: str):
 
 
 def cmd_apply(args) -> int:
-    from .runtime import CONTROL_BLOCK, StreamingFilter
+    from .runtime import StreamingFilter
 
     if (args.coeffs is None) == (args.design is None):
         raise FilterDesignError("give exactly one of --coeffs FILE or --design FILE")
@@ -210,10 +202,18 @@ def cmd_apply(args) -> int:
         filt = StreamingFilter(load_coefficients(args.coeffs))
     block = CONTROL_BLOCK if schedule is not None else STREAM_CHUNK
 
+    def filtered(blocks):
+        pos = 0
+        for x in blocks:
+            if schedule is not None:
+                filt.set_alpha(schedule(pos / filt.sample_rate_hz))
+            pos += len(x)
+            yield filt.process(x)
+
     with _open_stream(args.input, "rb") as fh_in:
         _check_input_file(fh_in)
         with _open_stream(args.output, "wb") as fh_out:
-            _stream_blocks(fh_in, fh_out, filt, block, schedule)
+            _write_blocks(fh_out, filtered(_read_blocks(fh_in, block)))
     return 0
 
 
@@ -223,9 +223,7 @@ def cmd_noise(args) -> int:
     blocks = _noise_blocks(args.color, args.seed, args.samples, args.fs,
                            BandSpec(args.fmin, args.fmax), STREAM_CHUNK)
     with _open_stream(args.output, "wb") as fh_out:
-        for samples in blocks:
-            _write_samples(fh_out, samples)
-        fh_out.flush()
+        _write_blocks(fh_out, blocks)
     return 0
 
 
@@ -319,6 +317,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout, so nothing more is wanted: end quietly,
+        # with stdout on devnull so that the interpreter's last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OSError, ValueError) as exc:  # FilterDesignError is a ValueError
         print(f"spectilt: {exc}", file=sys.stderr)
         return USAGE_ERROR

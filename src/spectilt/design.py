@@ -225,8 +225,10 @@ def make_analog_filter(spec: SlopeSpec, placement: PlacementResult, n: int) -> A
     steps[0] = -TWO_PI * placement.f1_hz
     # Cumulative product: p[k+1] is exactly fl(p[k] * r), so the alpha = -1
     # zero set z[k] = fl(p[k] * r) telescopes onto the pole set bit for bit.
-    poles = np.cumprod(steps)
-    zeros = poles * r ** (-spec.alpha)
+    # A ladder that overflows holds -inf, which AnalogFilter rejects.
+    with np.errstate(over="ignore"):
+        poles = np.cumprod(steps)
+        zeros = poles * r ** (-spec.alpha)
 
     if spec.integer_part != 0:
         extra = np.full(abs(spec.integer_part), -TWO_PI * placement.f1_hz / INTEGER_PART_BREAK_DIV)

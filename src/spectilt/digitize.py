@@ -38,7 +38,11 @@ def prewarp_constant(f1_hz: float, fs_hz: float) -> float:
         raise AboveNyquistError(f"need 0 < f1 < fs/2, got f1={f1_hz}, fs={fs_hz}")
     if not math.isfinite(fs_hz):
         raise OutOfRangeError(f"sample rate must be finite, got {fs_hz}")
-    return TWO_PI * f1_hz / math.tan(math.pi * f1_hz / fs_hz)
+    c = TWO_PI * f1_hz / math.tan(math.pi * f1_hz / fs_hz)
+    if not math.isfinite(c):
+        raise OutOfRangeError(f"sample rate {fs_hz:g} Hz is too large: the bilinear "
+                              "constant overflows")
+    return c
 
 
 def _prewarp(values_rad_s, c: float, fs_hz: float) -> np.ndarray:

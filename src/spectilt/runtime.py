@@ -9,7 +9,8 @@ design never move, changing the slope only rewrites the numerator columns
 modulation schedule.
 
 This is the only module that loads scipy; the package and the CLI import it
-on first use.  The compiled loop is loaded from its extension file, so
+on first use.  The compiled loop is loaded from its extension file, which
+importlib's path finder looks up in scipy's ``signal`` directory, so
 streaming never imports ``scipy.signal`` (about a second).  Noise draws its
 normals from numpy's Philox generator and loads no further scipy module.
 """
@@ -29,36 +30,31 @@ from .errors import OutOfRangeError
 
 DEFAULT_BAND = BandSpec(20.0, 20000.0)
 
-# Samples per control block when a slope schedule is applied.
-CONTROL_BLOCK = 64
-
 
 def _sosfilt_module():
     """The extension module ``scipy.signal._sosfilt``: the one already
-    imported, else loaded from its file without importing ``scipy.signal``;
-    None if there is no such file.  A module loaded here leaves no
-    parentless entry in ``sys.modules``; a later ``import scipy.signal``
-    binds the same module object."""
+    imported, else loaded from its file in scipy's ``signal`` directory
+    without importing ``scipy.signal``; None if importlib's path finder
+    finds no such file.  A module loaded here leaves no parentless entry in
+    ``sys.modules``; a later ``import scipy.signal`` binds the same module
+    object."""
     name = "scipy.signal._sosfilt"
     if name in sys.modules:
         return sys.modules[name]
-    spec = importlib.util.find_spec("scipy")
-    roots = spec.submodule_search_locations if spec else None
-    for root in roots or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "signal", "_sosfilt" + suffix)
-            if not os.path.isfile(path):
-                continue
-            ext = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(ext)
-            try:
-                ext.loader.exec_module(module)
-            finally:
-                # The extension registers itself on exec.
-                if sys.modules.get(name) is module:
-                    del sys.modules[name]
-            return module
-    return None
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy else ()
+    ext = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(root, "signal") for root in roots or ()])
+    if ext is None:
+        return None
+    module = importlib.util.module_from_spec(ext)
+    try:
+        ext.loader.exec_module(module)
+    finally:
+        # The extension registers itself on exec.
+        if sys.modules.get(name) is module:
+            del sys.modules[name]
+    return module
 
 
 def _compiled_cascade():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ import spectilt
 
 from spectilt import (
     BandSpec,
+    coefficients_to_json,
     colored_noise,
     design_from_json,
     design_tilt,
+    design_to_json,
+    digitize_design,
     load_coefficients,
     load_design,
     pink_noise,
@@ -27,6 +31,128 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _raw(n: int, nan_at: int | None = None, tail: bytes = b"") -> bytes:
+    """n ones as raw float64, with an optional NaN and stray tail bytes."""
+    x = np.ones(n)
+    if nan_at is not None:
+        x[nan_at] = np.nan
+    return x.astype("<f8").tobytes() + tail
+
+
+APPLY = "apply --coeffs {c} -i {x} -o {y}"
+SWEPT = "apply --design {d} --fs 48000 -i {x} -o {y} --alpha-sweep="
+SECTION = "must be an object with b0, b1 and a1"
+PARTIAL = "which ends in a partial sample"
+NAN = "input contains NaN or Inf"
+INF_FS = "sample rate must be finite"
+POINTS = "points_per_interval must be at least 8"
+LONG = _raw(70000)  # past one 64 Ki-sample read, and past alpha = 1 on -0.5:2:0.5
+LATE_NAN = _raw(70000, nan_at=66000)
+GRID = "sweep --alpha -0.5 --orders 8:10:2 --skips 0:1"
+BAD_SWEEPS = ["-0.5:2:0.5", "-1.5:0:0.5", "nan:0:0.5", "0:1:nan"]
+
+# Each row is an argv that must exit 2 with one "spectilt:" line holding the
+# message, no stdout bytes and no output file.  In argv, {d} is the stock
+# design, {c} its 48 kHz coefficients after the edit, {x} a file holding the
+# given bytes (16 ones as samples if None) and {y} the output path.
+EXIT_2 = {
+    "missing-a1": (APPLY, "sections[3] " + SECTION, None, lambda c: c["sections"][3].pop("a1")),
+    "sections-5": (APPLY, "sections must be a list", None, lambda c: c.update(sections=5)),
+    "null-row": (APPLY, "sections[2] " + SECTION, None,
+                 lambda c: c["sections"].__setitem__(2, None)),
+    "no-sections": (APPLY, "at least one section", None, lambda c: c.update(sections=[])),
+    "nan-input": (APPLY, NAN, _raw(128, nan_at=64)),
+    "ragged-input": (APPLY, "12 bytes, " + PARTIAL, b"\x00" * 12),
+    "partial-file": (APPLY, "560003 bytes, " + PARTIAL, LONG + b"\x00" * 3),
+    # The scan meets the NaN in its first read, before the partial tail.
+    "nan-then-partial": (APPLY, NAN, _raw(70000, nan_at=64, tail=b"\x00" * 3)),
+    "late-nan-coeffs": (APPLY, NAN, LATE_NAN),
+    "late-nan-design": ("apply --design {d} --fs 48000 -i {x} -o {y}", NAN, LATE_NAN),
+    "both-sources": (APPLY + " --design {d} --fs 48000", "exactly one of"),
+    "design-without-fs": ("apply --design {d} -i {x} -o {y}", "--design needs --fs"),
+    "sweep-without-design": (APPLY + " --alpha-sweep=-1:1:0.1", "needs --design"),
+    **{f"sweep={sweep}": (SWEPT + sweep, message, LONG) for sweep, message in zip(
+        BAD_SWEEPS, ["[-1, 1], got 2.0", "[-1, 1], got -1.5", "[-1, 1], got nan",
+                     "duration must be positive"])},
+    "sweep=0:1": (SWEPT + "0:1", "must look like a0:a1:seconds"),
+    "samples=0": ("noise --samples 0 -o {y}", "need at least one sample, got 0"),
+    "samples=-5": ("noise --samples -5 -o {y}", "need at least one sample, got -5"),
+    "digitize-fs=inf": ("digitize --design {d} -o {y} --fs inf", INF_FS),
+    "apply-fs=inf": ("apply --design {d} -i {x} -o {y} --fs inf", INF_FS),
+    "noise-fs=inf": ("noise --samples 64 -o {y} --fs inf", INF_FS),
+    # Overflows that must exit 2 without a numpy RuntimeWarning.
+    "ladder-overflow": ("design --alpha -0.5 --order 3 --skip 0 --fmin 1 --fmax 1e308 -o {y}",
+                        "every pole must be a finite negative real"),
+    "fs=1e308": ("digitize --design {d} --fs 1e308 -o {y}", "bilinear constant overflows"),
+    "order-5-skip-2": ("design --alpha 0.3 --order 5 --skip 2", "no interval left for the band"),
+    "alpha=1.5": ("design --alpha 1.5", "alpha must lie in [-1, 1]"),
+    "bode-points=4": ("bode --design {d} --points-per-interval 4", POINTS),
+    "bode-malformed": ("bode --design {x}", "missing fields: integer_part", b'{"alpha": 0.5}'),
+    "digitize-fs=150": ("digitize --design {x} --fs 150", "band center 707.1", design_to_json(
+        design_tilt(-0.5, f_min_hz=100.0, f_max_hz=5000.0)).encode()),
+    "digitize-improper": ("digitize --design {x} --fs 48000", "more zeros than poles",
+                          design_to_json(design_tilt(0.5, integer_part=1)).encode()),
+    "orders=5:7-skips=2:2": ("sweep --alpha -0.5 --orders 5:7 --skips 2:2",
+                             "no interval left for the band"),
+    "orders=oops:4": ("sweep --alpha -0.5 --orders oops:4", "invalid literal for int()"),
+    # sweep grades every cell before it writes its header.
+    "sweep-alpha=2": (GRID + " --alpha 2", "alpha must lie in [-1, 1]"),
+    "sweep-fmin=fmax": (GRID + " --fmin 20 --fmax 20", "need 0 < f_min < f_max"),
+    "sweep-points=4": (GRID + " --points-per-interval 4", POINTS),
+    "sweep-points=0": (GRID + " --points-per-interval 0", POINTS),
+    "orders=1:2:3:4": ("sweep --alpha -0.5 --orders 1:2:3:4", "must look like start:stop[:step]"),
+    "orders=4:2": ("sweep --alpha -0.5 --orders 4:2", "'4:2' is empty or descending"),
+}
+
+
+STOCK = design_tilt(-0.5)
+STOCK_COEFFS = coefficients_to_json(digitize_design(STOCK, 48000.0)[0])
+
+
+def check_exit_2(tmp_path, capsys, row: str) -> None:
+    """Run one EXIT_2 row, with warnings raised as errors, and check its
+    whole exit-2 contract."""
+    argv, message, samples, edit = (EXIT_2[row] + (None, None))[:4]
+    files = {"d": tmp_path / "d.json", "c": tmp_path / "c.json",
+             "x": tmp_path / "in.raw", "y": tmp_path / "out.raw"}
+    files["d"].write_text(design_to_json(STOCK))
+    coeffs = json.loads(STOCK_COEFFS)
+    if edit is not None:
+        edit(coeffs)
+    files["c"].write_text(json.dumps(coeffs))
+    files["x"].write_bytes(_raw(16) if samples is None else samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *(arg.format(**files) for arg in argv.split()))
+    assert code == 2
+    assert err.startswith("spectilt: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
+    assert out == ""
+    assert not files["y"].exists()
+
+
+def contract(*rows: str, ids=None):
+    """A test method that runs ``rows`` of EXIT_2 through check_exit_2,
+    parametrized by row when there are several.  Binding rows to a named
+    test in each command's class keeps every test id stable."""
+    if len(rows) == 1:
+        return lambda self, tmp_path, capsys: check_exit_2(tmp_path, capsys, rows[0])
+
+    @pytest.mark.parametrize("row", rows, ids=ids)
+    def test(self, tmp_path, capsys, row):
+        check_exit_2(tmp_path, capsys, row)
+
+    return test
+
+
+class TestExit2Contract:
+    """The EXIT_2 rows that no command's class binds."""
+
+    test_exits_2_with_nothing_written = contract(
+        "nan-then-partial", "design-without-fs", "sweep=0:1", "ladder-overflow", "fs=1e308",
+        "orders=1:2:3:4", "orders=4:2")
 
 
 class TestDesignCommand:
@@ -49,14 +175,8 @@ class TestDesignCommand:
         obj = json.loads(out)
         assert obj["poles_rad_s"] == obj["zeros_rad_s"]
 
-    def test_degenerate_order_exits_2(self, capsys):
-        code, _, err = run(capsys, "design", "--alpha", "0.3", "--order", "5", "--skip", "2")
-        assert code == 2
-        assert "interval" in err or "band" in err
-
-    def test_alpha_out_of_range_exits_2(self, capsys):
-        code, _, err = run(capsys, "design", "--alpha", "1.5")
-        assert code == 2
+    test_degenerate_order_exits_2 = contract("order-5-skip-2")
+    test_alpha_out_of_range_exits_2 = contract("alpha=1.5")
 
     def test_round_trip_is_exact(self, tmp_path, capsys):
         path = tmp_path / "d.json"
@@ -92,18 +212,9 @@ class TestBodeCommand:
         meta = next(ln for ln in out.splitlines() if "max_abs_slope_error_in_band" in ln)
         assert float(meta.split("=")[1]) == rep.max_abs_error_in_band
 
-    def test_malformed_design_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text('{"alpha": 0.5}')
-        code, _, err = run(capsys, "bode", "--design", str(path))
-        assert code == 2
+    test_malformed_design_exits_2 = contract("bode-malformed")
 
-    def test_too_coarse_grid_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "d.json"
-        run(capsys, "design", "--alpha", "-0.5", "-o", str(path))
-        code, _, err = run(capsys, "bode", "--design", str(path),
-                           "--points-per-interval", "4")
-        assert code == 2
+    test_too_coarse_grid_exits_2 = contract("bode-points=4")
 
 
 class TestDigitizeCommand:
@@ -119,18 +230,8 @@ class TestDigitizeCommand:
         assert dfilt.sample_rate_hz == 48000.0
         assert len(dfilt.sos) == 16
 
-    def test_low_sample_rate_exits_2(self, tmp_path, capsys):
-        dpath = tmp_path / "d.json"
-        run(capsys, "design", "--alpha", "-0.5", "--fmin", "100", "--fmax", "5000",
-            "-o", str(dpath))
-        code, _, err = run(capsys, "digitize", "--design", str(dpath), "--fs", "150")
-        assert code == 2
-
-    def test_improper_design_exits_2(self, tmp_path, capsys):
-        dpath = tmp_path / "d.json"
-        run(capsys, "design", "--alpha", "0.5", "--integer-part", "1", "-o", str(dpath))
-        code, _, err = run(capsys, "digitize", "--design", str(dpath), "--fs", "48000")
-        assert code == 2
+    test_low_sample_rate_exits_2 = contract("digitize-fs=150")
+    test_improper_design_exits_2 = contract("digitize-improper")
 
 
 def _edited_design(tmp_path, capsys, edit):
@@ -163,26 +264,17 @@ class TestInconsistentDesignFile:
 
 
 class TestApplyCommand:
-    @pytest.mark.parametrize("mangle", [
-        lambda obj: obj["sections"][3].pop("a1"),
-        lambda obj: obj.update(sections=5),
-        lambda obj: obj["sections"].__setitem__(2, None),
-        lambda obj: obj.update(sections=[]),
-    ], ids=["missing-a1", "sections-5", "null-row", "no-sections"])
-    def test_malformed_coefficients_exit_2_before_output(self, tmp_path, capsys, mangle):
-        _, cpath = self._design_and_coeffs(tmp_path, capsys)
-        obj = json.loads(cpath.read_text())
-        mangle(obj)
-        cpath.write_text(json.dumps(obj))
-        xin = tmp_path / "in.raw"
-        np.ones(16).astype("<f8").tofile(xin)
-        xout = tmp_path / "out.raw"
-        code, out, err = run(capsys, "apply", "--coeffs", str(cpath), "-i", str(xin),
-                             "-o", str(xout))
-        assert code == 2
-        assert out == ""
-        assert "internal error" not in err
-        assert not xout.exists()
+    test_malformed_coefficients_exit_2_before_output = contract(
+        "missing-a1", "sections-5", "null-row", "no-sections")
+    test_nan_input_exits_2 = contract("nan-input")
+    test_ragged_input_exits_2 = contract("ragged-input")
+    test_sweep_requires_design = contract("sweep-without-design")
+    test_both_sources_rejected = contract("both-sources")
+    test_bad_sweep_exits_2_before_output = contract(
+        *(f"sweep={s}" for s in BAD_SWEEPS), ids=BAD_SWEEPS)
+    test_partial_sample_file_exits_2_before_output = contract("partial-file")
+    test_late_nan_file_exits_2_before_output = contract(
+        "late-nan-coeffs", "late-nan-design", ids=["coeffs", "design"])
 
     def _design_and_coeffs(self, tmp_path, capsys, alpha="0"):
         dpath = tmp_path / "d.json"
@@ -203,85 +295,10 @@ class TestApplyCommand:
         y = np.fromfile(xout, dtype="<f8")
         assert np.max(np.abs(y - x)) < 1e-12
 
-    def test_nan_input_exits_2(self, tmp_path, capsys):
-        _, cpath = self._design_and_coeffs(tmp_path, capsys)
-        x = np.ones(128)
-        x[64] = np.nan
-        xin = tmp_path / "in.raw"
-        x.astype("<f8").tofile(xin)
-        code, _, err = run(capsys, "apply", "--coeffs", str(cpath),
-                           "-i", str(xin), "-o", str(tmp_path / "out.raw"))
-        assert code == 2
-
-    def test_ragged_input_exits_2(self, tmp_path, capsys):
-        _, cpath = self._design_and_coeffs(tmp_path, capsys)
-        xin = tmp_path / "in.raw"
-        xin.write_bytes(b"\x00" * 12)  # 1.5 samples
-        code, _, err = run(capsys, "apply", "--coeffs", str(cpath),
-                           "-i", str(xin), "-o", str(tmp_path / "o.raw"))
-        assert code == 2
-
-    def test_sweep_requires_design(self, tmp_path, capsys):
-        _, cpath = self._design_and_coeffs(tmp_path, capsys)
-        code, _, err = run(capsys, "apply", "--coeffs", str(cpath),
-                           "--alpha-sweep=-1:1:0.1",
-                           "-i", "/dev/null", "-o", str(tmp_path / "o.raw"))
-        assert code == 2
-
-    def test_both_sources_rejected(self, tmp_path, capsys):
-        dpath, cpath = self._design_and_coeffs(tmp_path, capsys)
-        code, _, _ = run(capsys, "apply", "--coeffs", str(cpath), "--design", str(dpath),
-                         "--fs", "48000", "-i", "/dev/null", "-o", str(tmp_path / "o.raw"))
-        assert code == 2
-
-    @pytest.mark.parametrize("sweep", ["-0.5:2:0.5", "-1.5:0:0.5", "nan:0:0.5", "0:1:nan"])
-    def test_bad_sweep_exits_2_before_output(self, tmp_path, capsys, sweep):
-        dpath, _ = self._design_and_coeffs(tmp_path, capsys, alpha="-0.5")
-        xin = tmp_path / "in.raw"
-        xout = tmp_path / "out.raw"
-        # -0.5:2:0.5 reaches alpha = 1 after 14 400 samples; the stream is longer.
-        np.random.default_rng(2).standard_normal(20000).astype("<f8").tofile(xin)
-        code, _, err = run(capsys, "apply", "--design", str(dpath), "--fs", "48000",
-                           f"--alpha-sweep={sweep}", "-i", str(xin), "-o", str(xout))
-        assert code == 2
-        assert "spectilt:" in err
-        assert not xout.exists()
-
-    def test_partial_sample_file_exits_2_before_output(self, tmp_path, capsys):
-        _, cpath = self._design_and_coeffs(tmp_path, capsys)
-        xin = tmp_path / "in.raw"
-        xout = tmp_path / "out.raw"
-        # More than one 64 Ki-sample read, ending in three stray bytes.
-        xin.write_bytes(np.ones(70000).astype("<f8").tobytes() + b"\x00" * 3)
-        code, _, err = run(capsys, "apply", "--coeffs", str(cpath),
-                           "-i", str(xin), "-o", str(xout))
-        assert code == 2
-        assert "partial sample" in err
-        assert not xout.exists()
-
-    @pytest.mark.parametrize("source", ["coeffs", "design"])
-    def test_late_nan_file_exits_2_before_output(self, tmp_path, capsys, source):
-        dpath, cpath = self._design_and_coeffs(tmp_path, capsys)
-        xin = tmp_path / "in.raw"
-        xout = tmp_path / "out.raw"
-        # The bad sample lies past the first 64 Ki-sample read.
-        x = np.ones(70000)
-        x[66000] = np.nan
-        x.astype("<f8").tofile(xin)
-        flags = (["--coeffs", str(cpath)] if source == "coeffs"
-                 else ["--design", str(dpath), "--fs", "48000"])
-        code, out, err = run(capsys, "apply", *flags, "-i", str(xin), "-o", str(xout))
-        assert code == 2
-        assert out == ""
-        assert "internal error" not in err
-        assert not xout.exists()
-
     def test_nan_in_pipe_exits_2(self, tmp_path, capsys, monkeypatch):
         # A pipe cannot be scanned ahead, so each block is checked as it streams.
         _, cpath = self._design_and_coeffs(tmp_path, capsys)
-        x = np.ones(70000)
-        x[66000] = np.nan
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(x.astype("<f8").tobytes())))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(LATE_NAN)))
         code, _, err = run(capsys, "apply", "--coeffs", str(cpath),
                            "-o", str(tmp_path / "out.raw"))
         assert code == 2
@@ -294,7 +311,7 @@ class TestApplyCommand:
 
         _, cpath = self._design_and_coeffs(tmp_path, capsys)
         xin = tmp_path / "in.raw"
-        np.ones(70000).astype("<f8").tofile(xin)
+        xin.write_bytes(LONG)
         scan = spectilt.cli._check_input_file
 
         def scan_then_append(fh_in):
@@ -311,7 +328,7 @@ class TestApplyCommand:
 
     def test_partial_sample_pipe_exits_2_at_tail(self, tmp_path, capsys, monkeypatch):
         _, cpath = self._design_and_coeffs(tmp_path, capsys)
-        raw = np.ones(1000).astype("<f8").tobytes() + b"\x00" * 5
+        raw = _raw(1000, tail=b"\x00" * 5)
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
         code, _, err = run(capsys, "apply", "--coeffs", str(cpath),
                            "-o", str(tmp_path / "out.raw"))
@@ -360,34 +377,12 @@ class TestNoiseCommand:
                                  band=BandSpec(30.0, 20000.0))
         assert path.read_bytes() == expected.astype("<f8").tobytes()
 
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_no_samples_exits_2_with_no_output(self, tmp_path, capsys, samples):
-        path = tmp_path / "n.raw"
-        code, out, err = run(capsys, "noise", "--samples", samples, "-o", str(path))
-        assert code == 2
-        assert out == ""
-        assert err.count("spectilt:") == 1 and err.startswith("spectilt:")
-        assert not path.exists()
+    test_no_samples_exits_2_with_no_output = contract("samples=0", "samples=-5", ids=["0", "-5"])
 
 
 class TestInfiniteSampleRate:
-    @pytest.mark.parametrize("command", ["digitize", "apply", "noise"])
-    def test_exits_2_with_no_output(self, tmp_path, capsys, command):
-        dpath = tmp_path / "d.json"
-        xin = tmp_path / "in.raw"
-        xout = tmp_path / "out.raw"
-        run(capsys, "design", "--alpha", "-0.5", "-o", str(dpath))
-        np.zeros(64).astype("<f8").tofile(xin)
-        argv = {
-            "digitize": ["digitize", "--design", str(dpath)],
-            "apply": ["apply", "--design", str(dpath), "-i", str(xin), "-o", str(xout)],
-            "noise": ["noise", "--samples", "64", "-o", str(xout)],
-        }[command]
-        code, out, err = run(capsys, *argv, "--fs", "inf")
-        assert code == 2
-        assert "sample rate must be finite" in err
-        assert out == ""
-        assert not xout.exists()
+    test_exits_2_with_no_output = contract(
+        "digitize-fs=inf", "apply-fs=inf", "noise-fs=inf", ids=["digitize", "apply", "noise"])
 
 
 class TestSweepCommand:
@@ -430,27 +425,13 @@ class TestSweepCommand:
         errors = [float(ln.split(",")[2]) for ln in out.splitlines()[1:]]
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
-    def test_invalid_combo_exits_2(self, capsys):
-        code, _, err = run(capsys, "sweep", "--alpha", "-0.5",
-                           "--orders", "5:7", "--skips", "2:2")
-        assert code == 2
+    test_invalid_combo_exits_2 = contract("orders=5:7-skips=2:2")
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--alpha", "2"], "alpha must lie in [-1, 1]"),
-        (["--fmin", "20", "--fmax", "20"], "need 0 < f_min < f_max"),
-        (["--points-per-interval", "4"], "points_per_interval must be at least 8"),
-        (["--points-per-interval", "0"], "points_per_interval must be at least 8"),
-    ], ids=["alpha-2", "empty-band", "points-4", "points-0"])
-    def test_bad_input_exits_2_before_header(self, capsys, flags, message):
-        code, out, err = run(capsys, "sweep", "--alpha", "-0.5", "--orders", "8:10:2",
-                             "--skips", "0:1", *flags)
-        assert code == 2
-        assert message in err
-        assert out == ""
+    test_bad_input_exits_2_before_header = contract(
+        "sweep-alpha=2", "sweep-fmin=fmax", "sweep-points=4", "sweep-points=0",
+        ids=["alpha-2", "empty-band", "points-4", "points-0"])
 
-    def test_empty_grid_exits_2(self, capsys):
-        code, _, err = run(capsys, "sweep", "--alpha", "-0.5", "--orders", "oops:4")
-        assert code == 2
+    test_empty_grid_exits_2 = contract("orders=oops:4")
 
 
 class TestTopLevel:
@@ -474,6 +455,19 @@ class TestTopLevel:
         line = boom.__code__.co_firstlineno + 1
         assert err == f"spectilt: internal error: RuntimeError: boom (test_cli.py:{line} in boom)\n"
 
+    @pytest.mark.parametrize("argv", [["noise", "--samples", "1000000"],
+                                      ["apply", "--coeffs", "c.json", "-i", "in.raw"]],
+                             ids=["noise", "apply"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, argv):
+        (tmp_path / "c.json").write_text(STOCK_COEFFS)
+        (tmp_path / "in.raw").write_bytes(_raw(1 << 18))
+        proc = subprocess.Popen([sys.executable, "-m", "spectilt", *argv], cwd=tmp_path,
+                                env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()  # the reader wants no more
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+
     @pytest.mark.parametrize(
         "command", ["design", "bode", "digitize", "apply", "noise", "sweep"]
     )
@@ -483,6 +477,13 @@ class TestTopLevel:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--" in out
+
+
+def _src_env() -> dict:
+    """This environment with the package's source directory on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectilt.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
 
 
 NO_SCIPY = """
@@ -497,10 +498,7 @@ class TestLazyScipy:
 
     @staticmethod
     def _python(code, cwd):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(spectilt.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+        return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=_src_env(),
                               capture_output=True, text=True)
 
     def test_package_import_loads_no_scipy(self, tmp_path):

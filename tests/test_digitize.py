@@ -267,6 +267,13 @@ class TestBilinear:
         with pytest.raises(EmptyDesignError):
             DigitalFilter(sos=np.zeros((0, 6)), gain=1.0, sample_rate_hz=48000.0)
 
+    def test_no_pole_below_nyquist_is_empty(self):
+        # Poles at 100 Hz and 30 kHz: one break lies below fs/2, and the
+        # one-interval margin discards it too.
+        design = design_tilt(-0.5, order=2, skip=0, f_min_hz=100.0, f_max_hz=30000.0)
+        with pytest.raises(EmptyDesignError, match="no pole survives Nyquist truncation"):
+            digitize_design(design, 48000.0)
+
     def test_rows_must_be_first_order(self):
         for sos in ([[1.0, 0.5, 0.1, 1.0, -0.5, 0.0]], [[1.0, 0.5, 0.0, 2.0, -0.5, 0.0]],
                     [[1.0, 0.5, 0.0, 1.0, -0.5, 0.3]], [1.0, 0.5, 0.0, 1.0, -0.5, 0.0],

@@ -72,6 +72,11 @@ class TestProcess:
             expected.append(-a1 * expected[-1])
         assert y == pytest.approx(expected, rel=1e-15)
 
+    def test_two_dimensional_block_rejected(self):
+        filt = _single_section_filter(1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            filt.process(np.ones((2, 4)))
+
     def test_gain_applied_once(self):
         filt = _single_section_filter(1.0, 0.0, 0.0, gain=2.5)
         y = filt.process(np.ones(4))
@@ -139,16 +144,18 @@ class TestKernelReference:
 
 
 class TestCascadeSelection:
-    """The compiled loop is chosen once at import; the public wrapper only
-    where the loop cannot be loaded (tests/test_golden.py shows both paths
-    give the same bits)."""
+    """The compiled loop is chosen once at import, from the extension file
+    that importlib's path finder finds in scipy's signal directory; the
+    public wrapper runs only where the finder finds none or the loop fails
+    its probe (tests/test_golden.py shows both paths give the same bits)."""
 
     def test_compiled_loop_is_selected(self):
         assert runtime._cascade is sys.modules["scipy.signal._sosfilt"]._sosfilt
 
     def test_missing_extension_yields_no_compiled_loop(self, monkeypatch):
         monkeypatch.delitem(sys.modules, "scipy.signal._sosfilt", raising=False)
-        monkeypatch.setattr(runtime.importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        monkeypatch.setattr(runtime.importlib.machinery.PathFinder, "find_spec",
+                            lambda name, path=None, target=None: None)
         assert runtime._compiled_cascade() is None
 
     def test_state_is_updated_in_place(self, default_design):
