@@ -42,9 +42,9 @@ def _sosfilt_module():
     if name in sys.modules:
         return sys.modules[name]
     scipy = importlib.util.find_spec("scipy")
-    roots = scipy.submodule_search_locations if scipy else ()
+    roots = (scipy.submodule_search_locations if scipy else None) or ()
     ext = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(root, "signal") for root in roots or ()])
+        name, [os.path.join(root, "signal") for root in roots])
     if ext is None:
         return None
     module = importlib.util.module_from_spec(ext)
