@@ -12,6 +12,7 @@ system, and the arrays follow by geometric recursion.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -31,6 +32,10 @@ TWO_PI = 2.0 * math.pi
 # keeping their transition region well outside the design band.
 INTEGER_PART_BREAK_DIV = 100.0
 MAX_INTEGER_PART = 4
+
+# Highest angular frequency a ladder may reach: a sum of two squares below it
+# stays finite, with room left for the ladder's rounding.
+_MAX_OMEGA = 0.5 * math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -215,20 +220,26 @@ def make_analog_filter(spec: SlopeSpec, placement: PlacementResult, n: int) -> A
     products so that successive values are exact single multiplications.
     Zeros: z_k = p_k * r**(-alpha).  A nonzero integer part adds repeated
     poles (negative part) or zeros (positive part) breaking at f1/100.
-    Gain is left at 1; see normalize_gain.
+    Gain is left at 1; see normalize_gain.  A ladder whose top pole times r
+    would pass half of sqrt(float max) raises InvalidBandError.
     """
     n = int(n)
     if n < 1:
         raise OutOfRangeError(f"need at least one pole, got n={n}")
+    # f1 * r**n, the top pole times r, bounds the top zero and the bode grid's end.
+    ln_top_hz = math.log(placement.f1_hz) + n * placement.delta_p
+    if ln_top_hz > math.log(_MAX_OMEGA / TWO_PI):
+        raise InvalidBandError(
+            f"band too wide: the pole ladder from f1 = {placement.f1_hz:g} Hz reaches "
+            f"10^{ln_top_hz / math.log(10.0):.1f} Hz (top pole times r), past the "
+            f"{_MAX_OMEGA / TWO_PI:.3g} Hz where squared frequencies overflow")
     r = placement.r
     steps = np.full(n, r)
     steps[0] = -TWO_PI * placement.f1_hz
     # Cumulative product: p[k+1] is exactly fl(p[k] * r), so the alpha = -1
     # zero set z[k] = fl(p[k] * r) telescopes onto the pole set bit for bit.
-    # A ladder that overflows holds -inf, which AnalogFilter rejects.
-    with np.errstate(over="ignore"):
-        poles = np.cumprod(steps)
-        zeros = poles * r ** (-spec.alpha)
+    poles = np.cumprod(steps)
+    zeros = poles * r ** (-spec.alpha)
 
     if spec.integer_part != 0:
         extra = np.full(abs(spec.integer_part), -TWO_PI * placement.f1_hz / INTEGER_PART_BREAK_DIV)

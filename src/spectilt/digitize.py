@@ -9,6 +9,10 @@ break ladder.  Poles are truncated so that one full spacing interval remains
 below the Nyquist limit, leaving room for the top zero to slide as the slope
 is modulated; any zero whose prewarped break would still meet fs/2 is clamped
 just below it.
+
+One leveling formula, the gain exp(P - Z) from the one-sided sums of
+_scalar_log_mag, puts a coefficient file at unity at the prewarped band
+center and a stream at its louder band edge (see ModulationContext).
 """
 
 from __future__ import annotations
@@ -128,13 +132,12 @@ def digital_response(dfilt: DigitalFilter, f_hz):
 
 
 def _scalar_log_mag(roots: np.ndarray, omega: float) -> float:
-    """ln prod |j omega - root| over real roots; the log magnitude at omega is
-    the zero sum minus the pole sum plus the log gain.
+    """ln prod |j omega - root| over real roots: P over the poles and Z over
+    the zeros, and the gain exp(P - Z) puts |H(j omega)| at one.
 
-    One-sided, unlike pole_zero_sum: the leveling code keeps the pole half
-    fixed and recomputes only the zero half.  Over the golden grid the
-    resulting leveled log magnitude is within 1e-12 of its target (see
-    tests/test_digitize.py::TestLevelingPrecision).
+    One-sided, unlike pole_zero_sum: rebuild keeps P fixed and recomputes
+    only Z.  Over the golden grid the leveled log magnitude is within 1e-12
+    of its target (see tests/test_digitize.py::TestLevelingPrecision).
     """
     return 0.5 * float(np.log(omega * omega + roots * roots).sum())
 
@@ -145,8 +148,8 @@ def _prewarp_zeros(zeros_rad_s: np.ndarray, c: float, fs_hz: float) -> np.ndarra
 
 
 def _prototype(filt: AnalogFilter, c: float, fs_hz: float, band: BandSpec) -> AnalogFilter:
-    """Truncated, prewarped filter whose zeros are clamped below fs/2 and whose
-    magnitude at the prewarped band center is the analog one at the center."""
+    """Truncated, prewarped filter whose zeros are clamped below fs/2, leveled
+    at unity at the prewarped band center, where every design is unity."""
     if len(filt.zeros) > len(filt.poles):
         raise UnstableMapError(
             "more zeros than poles: the substitution would place digital poles at z=-1; "
@@ -166,25 +169,9 @@ def _prototype(filt: AnalogFilter, c: float, fs_hz: float, band: BandSpec) -> An
 
     if band.center_hz >= 0.5 * fs_hz:
         raise AboveNyquistError(f"band center {band.center_hz} Hz is not below fs/2")
-    wc = TWO_PI * band.center_hz
-    target = float(filt.log_magnitude(np.array(wc)))
-    wc_prew = -float(_prewarp(wc, c, fs_hz))
-    log_gain = math.log(filt.gain)
-    have = (log_gain + _scalar_log_mag(prew_zeros, wc_prew)
-            - _scalar_log_mag(prew_poles, wc_prew))
-    log_gain += target - have
-    return AnalogFilter(poles=prew_poles, zeros=prew_zeros, gain=math.exp(log_gain))
-
-
-def _numerators(prew_zeros: np.ndarray, section_dens: np.ndarray, c: float,
-                b0: np.ndarray, b1: np.ndarray) -> None:
-    """Write b0/b1 per section into b0 and b1; sections past the zero list get
-    the zero at z=-1."""
-    nz = len(prew_zeros)
-    b0[:nz] = (c - prew_zeros) / section_dens[:nz]
-    b1[:nz] = -(c + prew_zeros) / section_dens[:nz]
-    b0[nz:] = 1.0 / section_dens[nz:]
-    b1[nz:] = 1.0 / section_dens[nz:]
+    wc = -float(_prewarp(TWO_PI * band.center_hz, c, fs_hz))
+    gain = math.exp(_scalar_log_mag(prew_poles, wc) - _scalar_log_mag(prew_zeros, wc))
+    return AnalogFilter(poles=prew_poles, zeros=prew_zeros, gain=gain)
 
 
 def prewarped_prototype(design: TiltDesign, fs_hz: float) -> AnalogFilter:
@@ -195,18 +182,19 @@ def prewarped_prototype(design: TiltDesign, fs_hz: float) -> AnalogFilter:
 
 @dataclass(frozen=True, eq=False)
 class ModulationContext:
-    """Fixed-pole state needed to rebuild numerators when the slope changes.
+    """Fixed-pole state that builds the numerators and gain for a slope value.
 
-    The poles (hence every a1) never move; a new slope only slides the zero
-    anchors z_k = anchor_k * r**(-alpha), which are then re-prewarped and
-    re-mapped.  The gain is re-leveled so the louder band edge sits at unity
-    (f_min for downward tilts, f_max for upward ones): a tilt across the band
-    spans (f_max/f_min)**|alpha| in gain, so any interior anchor would let a
-    band edge run tens of dB hot as |alpha| approaches 1, while edge
-    anchoring caps the in-band gain at one for every slope.  The pole half of
-    the leveling log magnitude is fixed per anchor, so ``digitize_design``
-    computes it once from the prewarped poles (``pole_log_mag_low/high``);
-    the poles themselves are not kept, since rebuild never reads them.
+    The poles (hence every a1) never move; a slope only slides the zero
+    anchors z_k = anchor_k * r**(-alpha), which are then prewarped and
+    mapped.  ``digitize_design`` takes its numerators from here.  The gain
+    levels the louder band edge at unity (f_min for downward tilts, f_max
+    for upward ones), not the band center as a coefficient file does: a
+    tilt across the band spans (f_max/f_min)**|alpha| in gain, so any
+    interior anchor would let a band edge run tens of dB hot as |alpha|
+    approaches 1, while edge anchoring caps the in-band gain at one for
+    every slope.  The pole half P of exp(P - Z) is fixed per anchor, so
+    ``digitize_design`` computes it once from the prewarped poles
+    (``pole_log_mag_low/high``); the poles themselves are not kept.
     """
 
     zero_anchors: np.ndarray
@@ -225,14 +213,17 @@ class ModulationContext:
         return b0, b1, self._rebuild_into(alpha, b0, b1)
 
     def _rebuild_into(self, alpha: float, b0: np.ndarray, b1: np.ndarray) -> float:
-        """rebuild writing the numerators into b0 and b1, which may be the
-        columns of a live cascade; returns the gain."""
+        """rebuild writing into b0 and b1, which may be the columns of a live
+        cascade; returns the gain.  Sections past the zeros get z=-1."""
         alpha = float(alpha)
         if not -1.0 <= alpha <= 1.0:
             raise OutOfRangeError(f"alpha must lie in [-1, 1], got {alpha}")
         zeros = self.zero_anchors * self.ratio ** (-alpha)
         prew_zeros = _prewarp_zeros(zeros, self.c, self.fs_hz)
-        _numerators(prew_zeros, self.section_dens, self.c, b0, b1)
+        nz, dens = len(prew_zeros), self.section_dens
+        b0[:nz] = (self.c - prew_zeros) / dens[:nz]
+        b1[:nz] = -(self.c + prew_zeros) / dens[:nz]
+        b0[nz:] = b1[nz:] = 1.0 / dens[nz:]
         if alpha < 0.0:
             anchor, pole_log_mag = self.level_omega_low, self.pole_log_mag_low
         else:
@@ -245,19 +236,20 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
     slope changes.
 
     Each prewarped pole p and zero z of the prototype (see prewarped_prototype)
-    maps to the section pole (c + p)/(c - p) and zero (c + z)/(c - z), and the
-    prototype's gain, leveled at the band center, is the cascade's gain, so
-    H_d(e^{j w T}) equals the prototype's response at the prewarped frequency
-    to rounding.
+    maps to the section pole (c + p)/(c - p) and zero (c + z)/(c - z), the
+    numerators being ``context.rebuild`` at the design slope.  The prototype's
+    gain, leveled at the band center, is the cascade's gain, so H_d(e^{j w T})
+    equals the prototype's response at the prewarped frequency to rounding.
     """
     c = prewarp_constant(design.placement.f1_hz, fs_hz)
     proto = _prototype(design.filt, c, fs_hz, design.band)
     section_dens = c - proto.poles
     a1 = -(c + proto.poles) / section_dens
-    b0, b1 = np.empty((2, len(section_dens)))
-    _numerators(proto.zeros, section_dens, c, b0, b1)
-    dfilt = DigitalFilter(sos=_first_order_sos(b0, b1, a1), gain=proto.gain,
-                          sample_rate_hz=fs_hz)
+    # The lowest break maps nearest z = 1, and at a high enough rate onto it.
+    if a1[0] <= -1.0:
+        raise OutOfRangeError(f"sample rate {fs_hz:g} Hz is too high to resolve the "
+                              f"{-design.filt.poles[0] / TWO_PI:g} Hz break: its section "
+                              "pole rounds onto z = 1")
     # The prototype axis runs to infinity; only band edges at or above
     # Nyquist have no image and fall back to the clamp point.
     edges_hz = np.minimum([design.band.f_min_hz, design.band.f_max_hz],
@@ -274,6 +266,9 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
         pole_log_mag_low=_scalar_log_mag(proto.poles, level_low),
         pole_log_mag_high=_scalar_log_mag(proto.poles, level_high),
     )
+    b0, b1, _ = context.rebuild(design.spec.alpha)
+    dfilt = DigitalFilter(sos=_first_order_sos(b0, b1, a1), gain=proto.gain,
+                          sample_rate_hz=fs_hz)
     return dfilt, context
 
 

@@ -10,7 +10,7 @@ class OutOfRangeError(FilterDesignError):
 
 
 class InvalidBandError(FilterDesignError):
-    """A frequency band is empty, inverted, or non-positive."""
+    """A frequency band is empty, inverted, non-positive, or too wide for float64."""
 
 
 class DegenerateOrderError(FilterDesignError):

@@ -121,8 +121,8 @@ class StreamingFilter:
         """Build from a design, keeping the context needed for set_alpha."""
         digital, context = digitize_design(design, fs_hz)
         out = cls(digital, modulation=context)
-        # Route the initial coefficients through the modulation path so a
-        # later set_alpha(design alpha) is a bit-exact no-op.
+        # The numerators are already rebuild's at the design slope; this only
+        # moves the gain from the file's band-center level to the edge level.
         out.set_alpha(design.spec.alpha)
         return out
 

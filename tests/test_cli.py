@@ -48,6 +48,8 @@ PARTIAL = "which ends in a partial sample"
 NAN = "input contains NaN or Inf"
 INF_FS = "sample rate must be finite"
 POINTS = "points_per_interval must be at least 8"
+GAIN = "gain must be positive and finite"
+WIDE = "design --alpha -0.5 --order 3 --skip 0 --fmin 1 --fmax "
 LONG = _raw(70000)  # past one 64 Ki-sample read, and past alpha = 1 on -0.5:2:0.5
 LATE_NAN = _raw(70000, nan_at=66000)
 GRID = "sweep --alpha -0.5 --orders 8:10:2 --skips 0:1"
@@ -63,6 +65,8 @@ EXIT_2 = {
     "null-row": (APPLY, "sections[2] " + SECTION, None,
                  lambda c: c["sections"].__setitem__(2, None)),
     "no-sections": (APPLY, "at least one section", None, lambda c: c.update(sections=[])),
+    "gain=0": (APPLY, GAIN, None, lambda c: c.update(gain=0.0)),
+    "gain=-1": (APPLY, GAIN, None, lambda c: c.update(gain=-1.0)),
     "nan-input": (APPLY, NAN, _raw(128, nan_at=64)),
     "ragged-input": (APPLY, "12 bytes, " + PARTIAL, b"\x00" * 12),
     "partial-file": (APPLY, "560003 bytes, " + PARTIAL, LONG + b"\x00" * 3),
@@ -83,9 +87,11 @@ EXIT_2 = {
     "apply-fs=inf": ("apply --design {d} -i {x} -o {y} --fs inf", INF_FS),
     "noise-fs=inf": ("noise --samples 64 -o {y} --fs inf", INF_FS),
     # Overflows that must exit 2 without a numpy RuntimeWarning.
-    "ladder-overflow": ("design --alpha -0.5 --order 3 --skip 0 --fmin 1 --fmax 1e308 -o {y}",
-                        "every pole must be a finite negative real"),
+    "ladder-overflow": (WIDE + "1e308 -o {y}", "reaches 10^462.0 Hz"),
+    "fmax=1e200": (WIDE + "1e200 -o {y}", "reaches 10^300.0 Hz"),
     "fs=1e308": ("digitize --design {d} --fs 1e308 -o {y}", "bilinear constant overflows"),
+    "fs=1e200": ("digitize --design {d} --fs 1e200 -o {y}",
+                 "sample rate 1e+200 Hz is too high to resolve the 4.06184 Hz break"),
     "order-5-skip-2": ("design --alpha 0.3 --order 5 --skip 2", "no interval left for the band"),
     "alpha=1.5": ("design --alpha 1.5", "alpha must lie in [-1, 1]"),
     "bode-points=4": ("bode --design {d} --points-per-interval 4", POINTS),
@@ -151,8 +157,8 @@ class TestExit2Contract:
     """The EXIT_2 rows that no command's class binds."""
 
     test_exits_2_with_nothing_written = contract(
-        "nan-then-partial", "design-without-fs", "sweep=0:1", "ladder-overflow", "fs=1e308",
-        "orders=1:2:3:4", "orders=4:2")
+        "nan-then-partial", "design-without-fs", "sweep=0:1", "ladder-overflow", "fmax=1e200",
+        "fs=1e308", "fs=1e200", "orders=1:2:3:4", "orders=4:2")
 
 
 class TestDesignCommand:
@@ -265,7 +271,7 @@ class TestInconsistentDesignFile:
 
 class TestApplyCommand:
     test_malformed_coefficients_exit_2_before_output = contract(
-        "missing-a1", "sections-5", "null-row", "no-sections")
+        "missing-a1", "sections-5", "null-row", "no-sections", "gain=0", "gain=-1")
     test_nan_input_exits_2 = contract("nan-input")
     test_ragged_input_exits_2 = contract("ragged-input")
     test_sweep_requires_design = contract("sweep-without-design")

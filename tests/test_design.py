@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections.abc import Hashable
 
 import numpy as np
@@ -209,6 +210,20 @@ class TestMakeAnalogFilter:
         up = make_analog_filter(SlopeSpec(0.5, integer_part=1), placement, 4)
         assert len(up.zeros) == 5
         assert np.min(np.abs(up.zeros)) == pytest.approx(-extra, rel=1e-15)
+
+    def test_widest_band_sums_stay_finite(self):
+        # The top pole times r (1e153 Hz here: f1 * r**3 with r = sqrt(f_max))
+        # may reach half of sqrt(float max), where a sum of two squares stays
+        # finite all the way up the bode grid.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (-1.0, 1.0):
+                design = design_tilt(alpha, order=3, skip=0, f_min_hz=1.0, f_max_hz=1e102)
+                report = slope_report(design.filt, design.spec, design.placement, 3, 0)
+                assert np.isfinite(report.slope).all()
+                assert np.isfinite(design.filt.log_magnitude(report.grid.omega)).all()
+        with pytest.raises(InvalidBandError, match="band too wide"):
+            design_tilt(-0.5, order=3, skip=0, f_min_hz=1.0, f_max_hz=1.1e102)
 
 
 class TestNormalizeGain:

@@ -302,11 +302,20 @@ class TestModulationContext:
         assert np.array_equal(b1a, b1b)
         assert gain_a == gain_b
 
-    def test_rebuild_matches_bilinear_numerators(self, default_design):
-        dfilt, ctx = digitize_design(default_design, 48000.0)
-        b0, b1, _ = ctx.rebuild(default_design.spec.alpha)
-        assert np.array_equal(b0, dfilt.sos[:, 0])
-        assert np.array_equal(b1, dfilt.sos[:, 1])
+    def test_rebuild_matches_bilinear_numerators(self):
+        # The cascade's numerators come from rebuild at the design slope; they
+        # are the bilinear map of the prototype's zeros bit for bit, because
+        # both slide the same anchors by r**-alpha.
+        for fs in SAMPLE_RATES:
+            for design in grid_designs():
+                dfilt, ctx = digitize_design(design, fs)
+                proto = prewarped_prototype(design, fs)
+                dens = ctx.c - proto.poles
+                nz = len(proto.zeros)
+                b0 = np.concatenate([(ctx.c - proto.zeros) / dens[:nz], 1.0 / dens[nz:]])
+                b1 = np.concatenate([-(ctx.c + proto.zeros) / dens[:nz], 1.0 / dens[nz:]])
+                assert np.array_equal(dfilt.sos[:, 0], b0)
+                assert np.array_equal(dfilt.sos[:, 1], b1)
 
     def test_denominators_never_rebuilt(self, default_design):
         _, ctx = digitize_design(default_design, 48000.0)
