@@ -25,8 +25,7 @@ def main() -> int:
     for alpha in args.alphas:
         print(f"alpha = {alpha:+.3f}")
         print(f"  {'r':>6}  {'max |mag err|':>14}  {'max |phase err|':>16}")
-        rows = conjecture_convergence(alpha, -1.0, args.ratios, band,
-                                      margin_nepers=args.margin)
+        rows = conjecture_convergence(alpha, args.ratios, band, margin_nepers=args.margin)
         for r, mag_err, phase_err in rows:
             print(f"  {r:6.3f}  {mag_err:14.6e}  {phase_err:16.6e}")
     return 0

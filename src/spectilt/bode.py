@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import TWO_PI, AnalogFilter, BandSpec, PlacementResult, SlopeSpec, pole_zero_sum
+from .design import (TWO_PI, AnalogFilter, BandSpec, PlacementResult, SlopeSpec,
+                     make_analog_filter, pole_zero_sum)
 from .errors import BadGoodBandError, OutOfRangeError
 
 CSV_HEADER = "omega_rad_s,omega_ln,mag_db,phase_rad,slope_nepers,slope_error"
@@ -171,18 +172,18 @@ def slope_report(
 
 def conjecture_convergence(
     alpha: float,
-    p0: float,
     r_sequence,
     band: BandSpec,
     margin_nepers: float = 6.0,
-    points_per_interval: int = 32,
 ) -> list[tuple[float, float, float]]:
     """In-band error against the ideal w^alpha response for a ratio sequence.
 
-    For each r the pole array p0 * r**k is extended beyond the band on each
-    side, the level is aligned at the band center, and the rows report
-    (r, max relative magnitude error, max phase error vs alpha*pi/2).  Used
-    to confirm that both errors fall as r -> 1.
+    For each r, make_analog_filter builds the ladder -r**k through -1 rad/s,
+    extended beyond the band on each side (a ladder past the float range
+    raises its InvalidBandError); the level is aligned at the band center, and
+    the rows report (r, max relative magnitude error, max phase error vs
+    alpha*pi/2) on 32 grid points per pole interval.  Used to confirm that
+    both errors fall as r -> 1.
 
     Truncating the array leaves a residual bias ~ exp(-overhang) at the band
     edges whose prefactor does not shrink with r, while the density-limited
@@ -192,11 +193,7 @@ def conjecture_convergence(
     margin_nepers + 1/ln r past the band, keeping truncation subdominant as
     r -> 1.
     """
-    if not -1.0 <= alpha <= 1.0:
-        raise OutOfRangeError(f"alpha must lie in [-1, 1], got {alpha}")
-    if not p0 < 0.0:
-        raise OutOfRangeError(f"p0 must be a negative real, got {p0}")
-
+    spec = SlopeSpec(alpha)
     w_lo = TWO_PI * band.f_min_hz
     w_hi = TWO_PI * band.f_max_hz
     wc = TWO_PI * band.center_hz
@@ -205,18 +202,13 @@ def conjecture_convergence(
         if not r > 1.0:
             raise OutOfRangeError(f"every ratio must exceed 1, got {r}")
         ln_r = math.log(r)
-        ln_p0 = math.log(-p0)
         overhang = margin_nepers + 1.0 / ln_r
-        k_lo = math.floor((math.log(w_lo) - overhang - ln_p0) / ln_r)
-        k_hi = math.ceil((math.log(w_hi) + overhang - ln_p0) / ln_r)
-        count = k_hi - k_lo + 1
-        steps = np.full(count, float(r))
-        steps[0] = 1.0
-        poles = (p0 * r**k_lo) * np.cumprod(steps)
-        zeros = poles * r ** (-alpha)
-        filt = AnalogFilter(poles=poles, zeros=zeros, gain=1.0)
+        k_lo = math.floor((math.log(w_lo) - overhang) / ln_r)
+        k_hi = math.ceil((math.log(w_hi) + overhang) / ln_r)
+        filt = make_analog_filter(spec, PlacementResult(f1_hz=r**k_lo / TWO_PI, r=r),
+                                  k_hi - k_lo + 1)
 
-        n_grid = max(2, int(math.ceil(math.log(w_hi / w_lo) / ln_r)) * int(points_per_interval)) + 1
+        n_grid = max(2, int(math.ceil(math.log(w_hi / w_lo) / ln_r)) * 32) + 1
         omega = np.exp(np.linspace(math.log(w_lo), math.log(w_hi), n_grid))
 
         # Align the level at the band center, then compare against w^alpha.

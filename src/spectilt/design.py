@@ -129,7 +129,7 @@ class AnalogFilter:
 
     Both arrays are ordered by increasing break frequency (magnitude).  For
     tilt designs the pole magnitudes form a geometric sequence with ratio r
-    and the zeros satisfy z_k = p_k * r**(-alpha).
+    and the zeros are the poles slid by _slide_zeros.
     """
 
     poles: np.ndarray
@@ -213,12 +213,19 @@ def place_poles(n: int, k_skip: int, band: BandSpec) -> PlacementResult:
     return PlacementResult(f1_hz=f1, r=math.exp(ln_r))
 
 
+def _slide_zeros(anchors, r: float, alpha: float) -> np.ndarray:
+    """Zeros for slope alpha: the anchors slid by -alpha*ln r in log frequency.
+    The one slide rule: make_analog_filter slides the pole ladder and
+    ModulationContext.rebuild the kept ladder poles, so both agree bit for bit."""
+    return anchors * r ** (-alpha)
+
+
 def make_analog_filter(spec: SlopeSpec, placement: PlacementResult, n: int) -> AnalogFilter:
     """Build the pole and zero arrays for a placement.
 
     Poles: p_k = -2*pi*f1 * r**k for k = 0..n-1, computed by cumulative
     products so that successive values are exact single multiplications.
-    Zeros: z_k = p_k * r**(-alpha).  A nonzero integer part adds repeated
+    Zeros: the poles slid by _slide_zeros.  A nonzero integer part adds repeated
     poles (negative part) or zeros (positive part) breaking at f1/100.
     Gain is left at 1; see normalize_gain.  A ladder whose top pole times r
     would pass half of sqrt(float max) raises InvalidBandError.
@@ -239,7 +246,7 @@ def make_analog_filter(spec: SlopeSpec, placement: PlacementResult, n: int) -> A
     # Cumulative product: p[k+1] is exactly fl(p[k] * r), so the alpha = -1
     # zero set z[k] = fl(p[k] * r) telescopes onto the pole set bit for bit.
     poles = np.cumprod(steps)
-    zeros = poles * r ** (-spec.alpha)
+    zeros = _slide_zeros(poles, r, spec.alpha)
 
     if spec.integer_part != 0:
         extra = np.full(abs(spec.integer_part), -TWO_PI * placement.f1_hz / INTEGER_PART_BREAK_DIV)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import TWO_PI, AnalogFilter, BandSpec, TiltDesign, value_eq
+from .design import TWO_PI, AnalogFilter, BandSpec, TiltDesign, _slide_zeros, value_eq
 from .errors import (
     AboveNyquistError,
     EmptyDesignError,
@@ -185,7 +185,7 @@ class ModulationContext:
     """Fixed-pole state that builds the numerators and gain for a slope value.
 
     The poles (hence every a1) never move; a slope only slides the zero
-    anchors z_k = anchor_k * r**(-alpha), which are then prewarped and
+    anchors by design._slide_zeros, and the zeros are then prewarped and
     mapped.  ``digitize_design`` takes its numerators from here.  The gain
     levels the louder band edge at unity (f_min for downward tilts, f_max
     for upward ones), not the band center as a coefficient file does: a
@@ -218,8 +218,8 @@ class ModulationContext:
         alpha = float(alpha)
         if not -1.0 <= alpha <= 1.0:
             raise OutOfRangeError(f"alpha must lie in [-1, 1], got {alpha}")
-        zeros = self.zero_anchors * self.ratio ** (-alpha)
-        prew_zeros = _prewarp_zeros(zeros, self.c, self.fs_hz)
+        prew_zeros = _prewarp_zeros(_slide_zeros(self.zero_anchors, self.ratio, alpha),
+                                    self.c, self.fs_hz)
         nz, dens = len(prew_zeros), self.section_dens
         b0[:nz] = (self.c - prew_zeros) / dens[:nz]
         b1[:nz] = -(self.c + prew_zeros) / dens[:nz]

@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import runpy
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from spectilt import (
     AnalogFilter,
     BadGoodBandError,
     BandSpec,
+    InvalidBandError,
     OutOfRangeError,
     conjecture_convergence,
     design_tilt,
@@ -20,6 +23,7 @@ from spectilt.design import PlacementResult, SlopeSpec, make_analog_filter, plac
 from conftest import random_band
 
 TWO_PI = 2.0 * math.pi
+SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
 
 
 def random_filter(rng, n_max=40):
@@ -221,33 +225,58 @@ class TestConjectureConvergence:
     BAND = BandSpec(20.0, 20000.0)
 
     def test_zero_slope_exact(self):
-        rows = conjecture_convergence(0.0, -1.0, [2.0, 1.5], self.BAND)
+        rows = conjecture_convergence(0.0, [2.0, 1.5], self.BAND)
         for _, mag_err, phase_err in rows:
             assert mag_err < 1e-12
             assert phase_err < 1e-12
 
     def test_monotone_for_half_integrator(self):
-        rows = conjecture_convergence(-0.5, -1.0, [2.0, 1.5, 1.2, 1.1], self.BAND)
+        rows = conjecture_convergence(-0.5, [2.0, 1.5, 1.2, 1.1], self.BAND)
         mags = [m for _, m, _ in rows]
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
     def test_full_integrator_matches_one_over_omega(self):
         # Telescoped array: in-band response is 1/omega up to truncation.
-        rows = conjecture_convergence(-1.0, -1.0, [2.0], self.BAND)
+        rows = conjecture_convergence(-1.0, [2.0], self.BAND)
         _, mag_err, phase_err = rows[0]
         assert mag_err < 1e-3
         assert phase_err == pytest.approx(0.0, abs=2e-3) or phase_err < 2e-3
 
     def test_rows_positive_and_ordered(self):
-        rows = conjecture_convergence(0.3, -2.0, [1.8, 1.4], self.BAND)
+        # A band whose edges fall between the rungs of the unit ladder.
+        rows = conjecture_convergence(0.3, [1.8, 1.4], BandSpec(50.0, 5000.0))
         assert [r for r, _, _ in rows] == [1.8, 1.4]
         assert all(m >= 0.0 and p >= 0.0 for _, m, p in rows)
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(OutOfRangeError):
-            conjecture_convergence(0.3, -1.0, [0.9], self.BAND)
-        with pytest.raises(OutOfRangeError):
-            conjecture_convergence(0.3, 1.0, [1.5], self.BAND)
+            conjecture_convergence(0.3, [0.9], self.BAND)
+
+    def test_bad_slope_rejected(self):
+        with pytest.raises(OutOfRangeError, match="alpha must lie in"):
+            conjecture_convergence(1.5, [], self.BAND)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ladder_past_float_range_rejected(self):
+        # The ladder comes from make_analog_filter, whose band check stops a
+        # ladder whose squared frequencies would overflow.
+        with pytest.raises(InvalidBandError, match="band too wide"):
+            conjecture_convergence(-0.5, [1e10], BandSpec(1.0, 1e200))
+
+
+class TestConvergenceTableScript:
+    def test_two_rows_with_falling_columns(self, monkeypatch, capsys):
+        script = runpy.run_path(os.path.join(SCRIPTS, "convergence_table.py"))
+        monkeypatch.setattr("sys.argv", ["convergence_table.py", "--alphas", "-0.5",
+                                         "--ratios", "2", "1.5"])
+        assert script["main"]() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "alpha = -0.500"
+        rows = [[float(v) for v in line.split()] for line in lines[2:]]
+        assert [r for r, _, _ in rows] == [2.0, 1.5]
+        (_, mag_a, phase_a), (_, mag_b, phase_b) = rows
+        assert mag_a > mag_b > 0.0
+        assert phase_a > phase_b > 0.0
 
 
 class TestCsv:

@@ -38,6 +38,29 @@ from conftest import mutated_json
 from test_golden import SAMPLE_RATES, grid_designs
 
 TWO_PI = 2.0 * math.pi
+REBUILD_SLOPES = (-1.0, -0.37, 0.0, 0.5, 1.0)
+
+
+def design_numerators(design, fs):
+    """The cascade's b0, b1 columns for a design, checked against the
+    bilinear map of its prototype's zeros (sections past them get z=-1)."""
+    sos = digitize_design(design, fs)[0].sos
+    c = prewarp_constant(design.placement.f1_hz, fs)
+    proto = prewarped_prototype(design, fs)
+    dens = c - proto.poles
+    nz = len(proto.zeros)
+    b0 = np.concatenate([(c - proto.zeros) / dens[:nz], 1.0 / dens[nz:]])
+    b1 = np.concatenate([-(c + proto.zeros) / dens[:nz], 1.0 / dens[nz:]])
+    assert np.array_equal(sos[:, 0], b0)
+    assert np.array_equal(sos[:, 1], b1)
+    return b0, b1
+
+
+def at_slope(design, alpha):
+    """The same design (order, skip, band, integer part) at another slope."""
+    return design_tilt(alpha, order=design.n, skip=design.k_skip,
+                       f_min_hz=design.band.f_min_hz, f_max_hz=design.band.f_max_hz,
+                       integer_part=design.spec.integer_part)
 
 
 def prewarp_break(f_k_hz: float, f1_hz: float, fs_hz: float) -> float:
@@ -305,17 +328,36 @@ class TestModulationContext:
     def test_rebuild_matches_bilinear_numerators(self):
         # The cascade's numerators come from rebuild at the design slope; they
         # are the bilinear map of the prototype's zeros bit for bit, because
-        # both slide the same anchors by r**-alpha.
+        # both slide the same anchors with design._slide_zeros.
         for fs in SAMPLE_RATES:
             for design in grid_designs():
-                dfilt, ctx = digitize_design(design, fs)
-                proto = prewarped_prototype(design, fs)
-                dens = ctx.c - proto.poles
-                nz = len(proto.zeros)
-                b0 = np.concatenate([(ctx.c - proto.zeros) / dens[:nz], 1.0 / dens[nz:]])
-                b1 = np.concatenate([-(ctx.c + proto.zeros) / dens[:nz], 1.0 / dens[nz:]])
-                assert np.array_equal(dfilt.sos[:, 0], b0)
-                assert np.array_equal(dfilt.sos[:, 1], b1)
+                design_numerators(design, fs)
+
+    def test_rebuild_matches_design_at_every_slope(self):
+        # A context from the design at alpha, rebuilt at beta, gives the
+        # numerators of the design at beta, for every grid design and rate.
+        expected = {}
+        for fs in SAMPLE_RATES:
+            for design in grid_designs():
+                _, ctx = digitize_design(design, fs)
+                for beta in REBUILD_SLOPES:
+                    key = (beta, fs, design.n, design.k_skip, design.band,
+                           design.spec.integer_part)
+                    if key not in expected:
+                        expected[key] = design_numerators(at_slope(design, beta), fs)
+                    b0, b1, _ = ctx.rebuild(beta)
+                    assert np.array_equal(b0, expected[key][0])
+                    assert np.array_equal(b1, expected[key][1])
+
+    @given(alpha=st.floats(-1.0, 1.0), beta=st.floats(-1.0, 1.0),
+           fs=st.sampled_from(SAMPLE_RATES))
+    @settings(max_examples=100, deadline=None)
+    def test_stock_rebuild_matches_design_at_any_slope(self, alpha, beta, fs):
+        _, ctx = digitize_design(design_tilt(alpha), fs)
+        b0, b1, _ = ctx.rebuild(beta)
+        expected_b0, expected_b1 = design_numerators(design_tilt(beta), fs)
+        assert np.array_equal(b0, expected_b0)
+        assert np.array_equal(b1, expected_b1)
 
     def test_denominators_never_rebuilt(self, default_design):
         _, ctx = digitize_design(default_design, 48000.0)
