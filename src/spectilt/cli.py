@@ -18,13 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bode import DEFAULT_POINTS_PER_INTERVAL, slope_report, write_report_csv
-from .design import (
-    BandSpec,
-    TiltDesign,
-    design_tilt,
-    design_to_json,
-    load_design,
-)
+from .design import BandSpec, _design_record, design_tilt, design_to_json, load_design
 from .digitize import coefficients_to_json, digitize_design, load_coefficients
 from .errors import FilterDesignError, OutOfRangeError, StreamFormatError
 
@@ -86,20 +80,6 @@ def cmd_design(args) -> int:
     return 0
 
 
-def _design_metadata(design: TiltDesign) -> dict[str, str]:
-    return {
-        "alpha": repr(design.spec.alpha),
-        "integer_part": str(design.spec.integer_part),
-        "n": str(design.n),
-        "k_skip": str(design.k_skip),
-        "f_min_hz": repr(design.band.f_min_hz),
-        "f_max_hz": repr(design.band.f_max_hz),
-        "f1_hz": repr(design.placement.f1_hz),
-        "r": repr(design.placement.r),
-        "gain": repr(design.filt.gain),
-    }
-
-
 def cmd_bode(args) -> int:
     design = load_design(args.design)
     report = slope_report(
@@ -110,7 +90,9 @@ def cmd_bode(args) -> int:
         design.k_skip,
         points_per_interval=args.points_per_interval,
     )
-    write_report_csv(report, _design_metadata(design), sys.stdout)
+    metadata = {key: repr(value) for key, value in _design_record(design).items()
+                if not isinstance(value, list)}
+    write_report_csv(report, metadata, sys.stdout)
     return 0
 
 
@@ -237,8 +219,7 @@ def cmd_sweep(args) -> int:
         for k in skips:
             design = design_tilt(args.alpha, order=n, skip=k,
                                  f_min_hz=args.fmin, f_max_hz=args.fmax)
-            report = slope_report(design.filt, design.spec, design.placement, n, k,
-                                  points_per_interval=args.points_per_interval)
+            report = slope_report(design.filt, design.spec, design.placement, n, k)
             rows.append(f"{n},{k},{report.max_abs_error_in_band!r}\n")
     sys.stdout.write("".join(rows))
     return 0
@@ -305,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inclusive order range (default 8:24:2)")
     p.add_argument("--skips", default="0:3", metavar="K0:K1[:STEP]",
                    help="inclusive skip range (default 0:3)")
-    p.add_argument("--points-per-interval", type=int, default=DEFAULT_POINTS_PER_INTERVAL,
-                   help="grid points per pole interval (default 64)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -30,7 +30,7 @@ from .errors import (
     OutOfRangeError,
     UnstableMapError,
 )
-from .serialize import emit_object, f17, parse_object, real
+from .serialize import REAL_FORMAT, emit_object, f17, parse_object, real
 
 # Prewarped zero breaks at or above fs/2 are pinned to this fraction of fs.
 ZERO_CLAMP_FRACTION = 0.499
@@ -274,14 +274,13 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
 
 _COEFF_FIELDS = ("sample_rate_hz", "gain", "sections")
 _SECTION_FIELDS = ("b0", "b1", "a1")
+# One section's object, for the Python floats of one sos row.
+_SECTION_ROW = "{{" + ", ".join(f'"{key}": {{:{REAL_FORMAT}}}' for key in _SECTION_FIELDS) + "}}"
 
 
 def coefficients_to_json(dfilt: DigitalFilter) -> str:
     """Render the coefficient file (fixed field order, 17-digit reals)."""
-    rows = ", ".join(
-        "{" + f'"b0": {f17(b0)}, "b1": {f17(b1)}, "a1": {f17(a1)}' + "}"
-        for b0, b1, a1 in dfilt.sos[:, (0, 1, 4)].tolist()
-    )
+    rows = ", ".join(_SECTION_ROW.format(*row) for row in dfilt.sos[:, (0, 1, 4)].tolist())
     return emit_object(
         [
             ("sample_rate_hz", f17(dfilt.sample_rate_hz)),

@@ -107,20 +107,22 @@ class StreamingFilter:
     blocks through set_alpha.
     """
 
-    def __init__(self, digital: DigitalFilter, modulation: ModulationContext | None = None):
+    def __init__(self, digital: DigitalFilter):
         # A writable copy: set_alpha rewrites the numerator columns in place.
         self._sos = digital.sos.copy()
         self._gain = digital.gain
         # Updated in place by every block, in the kernel's (1, sections, 2) layout.
         self._state = np.zeros((1, len(self._sos), 2))
         self._fs = digital.sample_rate_hz
-        self._mod = modulation
+        self._mod: ModulationContext | None = None
 
     @classmethod
     def for_design(cls, design: TiltDesign, fs_hz: float) -> "StreamingFilter":
-        """Build from a design, keeping the context needed for set_alpha."""
+        """Build from a design, keeping the context needed for set_alpha: the
+        one way to get a filter that set_alpha can drive."""
         digital, context = digitize_design(design, fs_hz)
-        out = cls(digital, modulation=context)
+        out = cls(digital)
+        out._mod = context
         # The numerators are already rebuild's at the design slope; this only
         # moves the gain from the file's band-center level to the edge level.
         out.set_alpha(design.spec.alpha)

@@ -14,13 +14,18 @@ from typing import Any
 from .errors import FileFormatError
 
 
+# 17 significant digits: enough for an exact double round trip.
+REAL_FORMAT = ".17g"
+
+
 def f17(x: float) -> str:
-    """Format a float with 17 significant digits (exact double round trip)."""
-    return format(float(x), ".17g")
+    """Format a float with REAL_FORMAT."""
+    return format(float(x), REAL_FORMAT)
 
 
-def float_list(xs) -> str:
-    return "[" + ", ".join(f17(x) for x in xs) + "]"
+def float_list(xs: list[float]) -> str:
+    """A JSON array of Python floats, each formatted as f17 formats it."""
+    return "[" + ", ".join([format(x, REAL_FORMAT) for x in xs]) + "]"
 
 
 def emit_object(fields: list[tuple[str, str]]) -> str:

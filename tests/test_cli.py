@@ -94,6 +94,9 @@ EXIT_2 = {
                  "sample rate 1e+200 Hz is too high to resolve the 4.06184 Hz break"),
     "order-5-skip-2": ("design --alpha 0.3 --order 5 --skip 2", "no interval left for the band"),
     "alpha=1.5": ("design --alpha 1.5", "alpha must lie in [-1, 1]"),
+    # Rejected before the ladder is allocated: this order would need 72.8 TiB.
+    "order=1e13": ("design --alpha -0.5 --order 10000000000000",
+                   "order must be <= 10000, got n=10000000000000"),
     "bode-points=4": ("bode --design {d} --points-per-interval 4", POINTS),
     "bode-malformed": ("bode --design {x}", "missing fields: integer_part", b'{"alpha": 0.5}'),
     "digitize-fs=150": ("digitize --design {x} --fs 150", "band center 707.1", design_to_json(
@@ -106,8 +109,6 @@ EXIT_2 = {
     # sweep grades every cell before it writes its header.
     "sweep-alpha=2": (GRID + " --alpha 2", "alpha must lie in [-1, 1]"),
     "sweep-fmin=fmax": (GRID + " --fmin 20 --fmax 20", "need 0 < f_min < f_max"),
-    "sweep-points=4": (GRID + " --points-per-interval 4", POINTS),
-    "sweep-points=0": (GRID + " --points-per-interval 0", POINTS),
     "orders=1:2:3:4": ("sweep --alpha -0.5 --orders 1:2:3:4", "must look like start:stop[:step]"),
     "orders=4:2": ("sweep --alpha -0.5 --orders 4:2", "'4:2' is empty or descending"),
 }
@@ -183,6 +184,7 @@ class TestDesignCommand:
 
     test_degenerate_order_exits_2 = contract("order-5-skip-2")
     test_alpha_out_of_range_exits_2 = contract("alpha=1.5")
+    test_order_past_bound_exits_2 = contract("order=1e13")
 
     def test_round_trip_is_exact(self, tmp_path, capsys):
         path = tmp_path / "d.json"
@@ -217,6 +219,26 @@ class TestBodeCommand:
                            design.k_skip, points_per_interval=16)
         meta = next(ln for ln in out.splitlines() if "max_abs_slope_error_in_band" in ln)
         assert float(meta.split("=")[1]) == rep.max_abs_error_in_band
+
+    def test_metadata_lines_pinned(self, tmp_path, capsys):
+        """One key=repr(value) line per scalar design-file field, in file
+        order, then the good band and the max error."""
+        path = tmp_path / "d.json"
+        run(capsys, "design", "--alpha", "0.3", "--integer-part", "-1", "-o", str(path))
+        code, out, _ = run(capsys, "bode", "--design", str(path), "--points-per-interval", "8")
+        assert code == 0
+        design = design_tilt(0.3, integer_part=-1)
+        rep = slope_report(design.filt, design.spec, design.placement, 20, 3,
+                           points_per_interval=8)
+        lo, hi = rep.good_band
+        assert [ln for ln in out.splitlines() if ln.startswith("#")] == [
+            "# alpha=0.3", "# integer_part=-1", "# n=20", "# k_skip=3",
+            "# f_min_hz=20.0", "# f_max_hz=20000.0",
+            f"# f1_hz={design.placement.f1_hz!r}", f"# r={design.placement.r!r}",
+            f"# gain={design.filt.gain!r}",
+            f"# good_band_ln_rad_s=[{lo!r}, {hi!r}]",
+            f"# max_abs_slope_error_in_band={rep.max_abs_error_in_band!r}",
+        ]
 
     test_malformed_design_exits_2 = contract("bode-malformed")
 
@@ -434,8 +456,7 @@ class TestSweepCommand:
     test_invalid_combo_exits_2 = contract("orders=5:7-skips=2:2")
 
     test_bad_input_exits_2_before_header = contract(
-        "sweep-alpha=2", "sweep-fmin=fmax", "sweep-points=4", "sweep-points=0",
-        ids=["alpha-2", "empty-band", "points-4", "points-0"])
+        "sweep-alpha=2", "sweep-fmin=fmax", ids=["alpha-2", "empty-band"])
 
     test_empty_grid_exits_2 = contract("orders=oops:4")
 
@@ -516,8 +537,7 @@ class TestLazyScipy:
             ["design", "--alpha", "-0.5", "-o", "d.json"],
             ["bode", "--design", "d.json", "--points-per-interval", "8"],
             ["digitize", "--design", "d.json", "--fs", "48000", "-o", "c.json"],
-            ["sweep", "--alpha", "-0.5", "--orders", "8:10:2", "--skips", "0:1",
-             "--points-per-interval", "8"],
+            ["sweep", "--alpha", "-0.5", "--orders", "8:10:2", "--skips", "0:1"],
         ]
         code = (
             "import sys\n"

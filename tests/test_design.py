@@ -313,6 +313,11 @@ class TestDesignFile:
         ("gain", 1.0),
         ("poles_rad_s", "reversed"),
         ("alpha", -0.25),
+        ("integer_part", 1),
+        ("k_skip", 2),
+        ("f_min_hz", "next float"),
+        ("f_max_hz", "next float"),
+        ("zeros_rad_s", "one ulp"),
     ])
     def test_inconsistent_file_rejected(self, default_design, field, value):
         obj = json.loads(design_to_json(default_design))
@@ -320,6 +325,8 @@ class TestDesignFile:
             value = obj[field][:5]
         elif value == "next float":
             value = float(np.nextafter(obj[field], np.inf))
+        elif value == "one ulp":
+            value = obj[field][:7] + [float(np.nextafter(obj[field][7], 0.0))] + obj[field][8:]
         elif value == "reversed":
             value = obj[field][::-1]
         obj[field] = value
