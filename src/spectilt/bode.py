@@ -82,7 +82,8 @@ def log_mag_slope(filt: AnalogFilter, omega):
     if np.any(w <= 0.0):
         raise OutOfRangeError("omega must be positive")
     w2 = w * w
-    out = pole_zero_sum(filt, lambda root: w2 / (w2 + root * root), np.zeros(w.shape))
+    out = pole_zero_sum(filt.poles, filt.zeros, lambda root: w2 / (w2 + root * root),
+                        np.zeros(w.shape))
     return out if w.ndim else float(out)
 
 

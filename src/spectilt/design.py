@@ -111,7 +111,7 @@ class PlacementResult:
 
 
 def _as_readonly(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).copy()
+    arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
 
@@ -143,11 +143,18 @@ class AnalogFilter:
         poles = _as_readonly(self.poles)
         zeros = _as_readonly(self.zeros)
         for name, arr in (("pole", poles), ("zero", zeros)):
-            if (arr == 0.0).any():
-                raise PoleOnAxisError(f"{name} at s = 0 is not representable")
-            if not ((arr < 0.0) & (arr > -np.inf)).all():
-                raise OutOfRangeError(f"every {name} must be a finite negative real")
-            if (arr[1:] > arr[:-1]).any():
+            if arr.ndim != 1:
+                raise OutOfRangeError(f"{name}s must be a one-dimensional array, "
+                                      f"got shape {arr.shape}")
+            # Finite, negative and ordered by magnitude in one pass (a NaN
+            # fails <=, -0.0 fails < 0); only a failing array is scanned again
+            # to name its fault.
+            if len(arr) and not (arr[0] < 0.0 and arr[-1] > -np.inf
+                                 and (arr[1:] <= arr[:-1]).all()):
+                if (arr == 0.0).any():
+                    raise PoleOnAxisError(f"{name} at s = 0 is not representable")
+                if not ((arr < 0.0) & (arr > -np.inf)).all():
+                    raise OutOfRangeError(f"every {name} must be a finite negative real")
                 raise OutOfRangeError(f"{name}s must be ordered by increasing magnitude")
         if not (self.gain > 0.0 and math.isfinite(self.gain)):
             raise OutOfRangeError(f"gain must be positive and finite, got {self.gain}")
@@ -161,16 +168,18 @@ class AnalogFilter:
         """ln |H(j omega)|, accumulated factor by factor (no overflow for any order)."""
         w = np.asarray(omega, dtype=np.float64)
         w2 = w * w
-        return pole_zero_sum(self, lambda root: 0.5 * np.log(w2 + root * root),
+        return pole_zero_sum(self.poles, self.zeros,
+                             lambda root: 0.5 * np.log(w2 + root * root),
                              np.full(w2.shape, math.log(self.gain)))
 
     def phase(self, omega) -> np.ndarray:
         """arg H(j omega); each real-axis factor contributes an angle in [0, pi)."""
         w = np.asarray(omega, dtype=np.float64)
-        return pole_zero_sum(self, lambda root: np.arctan2(w, -root), np.zeros(w.shape))
+        return pole_zero_sum(self.poles, self.zeros, lambda root: np.arctan2(w, -root),
+                             np.zeros(w.shape))
 
 
-def pole_zero_sum(filt: AnalogFilter, term, start):
+def pole_zero_sum(poles: np.ndarray, zeros: np.ndarray, term, start):
     """start + sum of term(zero) over the zeros - sum of term(pole) over the poles.
 
     Every analog sum over the prototype's factors goes through here (the
@@ -180,7 +189,7 @@ def pole_zero_sum(filt: AnalogFilter, term, start):
     measured, and a fully canceling array (alpha = 0) sums to exactly ``start``.
     """
     out = start
-    zeros, poles = filt.zeros.tolist(), filt.poles.tolist()  # float roots: faster scalar math
+    zeros, poles = zeros.tolist(), poles.tolist()  # float roots: faster scalar math
     for k in range(max(len(zeros), len(poles))):
         if k < len(zeros):
             out += term(zeros[k])
@@ -236,6 +245,11 @@ def make_analog_filter(spec: SlopeSpec, placement: PlacementResult, n: int) -> A
     Gain is left at 1; see normalize_gain.  A ladder whose top pole times r
     would pass half of sqrt(float max) raises InvalidBandError.
     """
+    return AnalogFilter(*_ladder(spec, placement, n))
+
+
+def _ladder(spec: SlopeSpec, placement: PlacementResult, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """make_analog_filter's pole and zero arrays, not yet checked by AnalogFilter."""
     n = int(n)
     if n < 1:
         raise OutOfRangeError(f"need at least one pole, got n={n}")
@@ -260,8 +274,7 @@ def make_analog_filter(spec: SlopeSpec, placement: PlacementResult, n: int) -> A
             poles = np.concatenate([extra, poles])
         else:
             zeros = np.sort(np.concatenate([extra, zeros]))[::-1]
-
-    return AnalogFilter(poles=poles, zeros=zeros, gain=1.0)
+    return poles, zeros
 
 
 def normalize_gain(filt: AnalogFilter, band: BandSpec) -> AnalogFilter:
@@ -270,10 +283,15 @@ def normalize_gain(filt: AnalogFilter, band: BandSpec) -> AnalogFilter:
     The sum is interleaved (see pole_zero_sum), so a fully canceling array
     (alpha = 0) yields a gain of exactly one.
     """
+    return replace(filt, gain=_center_gain(filt.poles, filt.zeros, band))
+
+
+def _center_gain(poles: np.ndarray, zeros: np.ndarray, band: BandSpec) -> float:
+    """The gain that puts |H| at 1 at the band center (see normalize_gain)."""
     wc = TWO_PI * band.center_hz
     wc2 = wc * wc
-    log_mag = pole_zero_sum(filt, lambda root: 0.5 * math.log(wc2 + root * root), 0.0)
-    return replace(filt, gain=math.exp(-log_mag))
+    log_mag = pole_zero_sum(poles, zeros, lambda root: 0.5 * math.log(wc2 + root * root), 0.0)
+    return math.exp(-log_mag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,11 +326,21 @@ def design_tilt(
     f_max_hz: float = 20000.0,
     integer_part: int = 0,
 ) -> TiltDesign:
-    """Place, build, and gain-normalize a tilt filter in one call."""
+    """Place, build, and gain-normalize a tilt filter in one call.
+
+    The same filter as normalize_gain(make_analog_filter(...), band), leveled
+    before it is wrapped, so AnalogFilter checks the arrays once.
+    """
     spec = SlopeSpec(alpha=alpha, integer_part=integer_part)
     band = BandSpec(f_min_hz=f_min_hz, f_max_hz=f_max_hz)
     placement = place_poles(order, skip, band)
-    filt = normalize_gain(make_analog_filter(spec, placement, order), band)
+    poles, zeros = _ladder(spec, placement, order)
+    try:
+        gain = _center_gain(poles, zeros, band)
+    except ValueError:  # a band center so low that its square underflows to 0
+        AnalogFilter(poles, zeros)  # a ladder with a root at s = 0 still says so first
+        raise
+    filt = AnalogFilter(poles=poles, zeros=zeros, gain=gain)
     return TiltDesign(spec=spec, band=band, n=order, k_skip=skip, placement=placement, filt=filt)
 
 

@@ -101,12 +101,13 @@ class DigitalFilter:
 
     def __post_init__(self) -> None:
         sos = np.array(self.sos, dtype=np.float64)
-        if (sos.ndim != 2 or sos.shape[1] != 6 or (sos[:, (2, 5)] != 0.0).any()
+        if (sos.ndim != 2 or sos.shape[1] != 6 or (sos[:, 2:6:3] != 0.0).any()
                 or (sos[:, 3] != 1.0).any()):
             raise OutOfRangeError("sos must be an (n, 6) array of rows [b0, b1, 0, 1, a1, 0]")
-        unstable = ~(np.abs(sos[:, 4]) < 1.0)
-        if unstable.any():
-            raise UnstableMapError(f"section pole {-sos[unstable, 4][0]} is not inside (-1, 1)")
+        stable = np.abs(sos[:, 4]) < 1.0  # False for a NaN a1
+        if not stable.all():
+            raise UnstableMapError(
+                f"section pole {-sos[stable.argmin(), 4]} is not inside (-1, 1)")
         if not (self.gain > 0.0 and math.isfinite(self.gain)):
             raise OutOfRangeError(f"gain must be positive and finite, got {self.gain}")
         if not (self.sample_rate_hz > 0.0 and math.isfinite(self.sample_rate_hz)):

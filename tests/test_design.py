@@ -5,7 +5,7 @@ from collections.abc import Hashable
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectilt import (
@@ -139,6 +139,76 @@ class TestAnalogFilter:
         with pytest.raises(ValueError):
             filt.poles[0] = -3.0
 
+    def test_two_dimensional_roots_rejected(self):
+        with pytest.raises(OutOfRangeError, match=r"poles must be a one-dimensional array"):
+            AnalogFilter(poles=[[-1.0, -2.0]], zeros=[[-1.0, -2.0]])
+        with pytest.raises(OutOfRangeError, match=r"zeros must be a one-dimensional array"):
+            AnalogFilter(poles=[-1.0, -2.0], zeros=[[-1.0, -2.0]])
+
+    def test_scalar_roots_rejected(self):
+        with pytest.raises(OutOfRangeError, match=r"poles must be a one-dimensional array"):
+            AnalogFilter(poles=-1.0, zeros=-1.0)
+        with pytest.raises(OutOfRangeError, match=r"zeros must be a one-dimensional array"):
+            AnalogFilter(poles=[-1.0], zeros=-1.0)
+
+    @staticmethod
+    def _three_checks(name, arr):
+        """The root checks as three separate scans, in order: the class and
+        message of the first that fails, or None for an array that passes."""
+        if (arr == 0.0).any():
+            return PoleOnAxisError, f"{name} at s = 0 is not representable"
+        if not ((arr < 0.0) & (arr > -np.inf)).all():
+            return OutOfRangeError, f"every {name} must be a finite negative real"
+        if (arr[1:] > arr[:-1]).any():
+            return OutOfRangeError, f"{name}s must be ordered by increasing magnitude"
+        return None
+
+    _ROOTS = st.lists(st.sampled_from([-3.0, -2.0, -1.0, -1.0, -1e-300, -0.0, 0.0, math.nan,
+                                       math.inf, -math.inf, 1e-300, 2.0]), max_size=6)
+
+    @settings(max_examples=400, deadline=None)
+    @given(poles=_ROOTS, zeros=_ROOTS, sort_poles=st.booleans(), sort_zeros=st.booleans())
+    @example(poles=[-1.0, -0.0], zeros=[], sort_poles=False, sort_zeros=False)
+    @example(poles=[-1.0], zeros=[-1.0, math.nan, -3.0], sort_poles=False, sort_zeros=False)
+    @example(poles=[-1.0, -2.0, -math.inf], zeros=[], sort_poles=False, sort_zeros=False)
+    @example(poles=[-0.1, -0.1, -1.0, -2.0], zeros=[-0.1, -0.1, -1.5], sort_poles=False,
+             sort_zeros=False)
+    @example(poles=[-0.1, -1.0, -0.1], zeros=[], sort_poles=False, sort_zeros=False)
+    def test_one_pass_check_matches_three_checks(self, poles, zeros, sort_poles, sort_zeros):
+        # Sorting by decreasing value orders by increasing magnitude where
+        # every root is negative, and leaves whatever is not for the checks.
+        arrays = [np.sort(np.array(roots, dtype=np.float64))[::-1] if sort else
+                  np.array(roots, dtype=np.float64)
+                  for roots, sort in ((poles, sort_poles), (zeros, sort_zeros))]
+        expected = (self._three_checks("pole", arrays[0])
+                    or self._three_checks("zero", arrays[1]))
+        if expected is None:
+            filt = AnalogFilter(poles=arrays[0], zeros=arrays[1])
+            assert np.array_equal(filt.poles, arrays[0])
+            assert np.array_equal(filt.zeros, arrays[1])
+            return
+        with pytest.raises(FilterDesignError) as info:
+            AnalogFilter(poles=arrays[0], zeros=arrays[1])
+        assert (type(info.value), str(info.value)) == expected
+
+    def test_each_stage_checks_its_filter_once(self, monkeypatch):
+        # design_tilt levels its ladder before wrapping it, and a design file
+        # re-derives through design_tilt: one AnalogFilter check per stage.
+        calls = []
+        check = AnalogFilter.__post_init__
+
+        def counted(filt):
+            calls.append(1)
+            check(filt)
+
+        monkeypatch.setattr(AnalogFilter, "__post_init__", counted)
+        design = design_tilt(-0.5, integer_part=-1)
+        after_design = len(calls)
+        design_from_json(design_to_json(design))
+        after_load = len(calls)
+        digitize_design(design, 48000.0)
+        assert [after_design, after_load - after_design, len(calls) - after_load] == [1, 1, 1]
+
 
 class TestMakeAnalogFilter:
     def test_zero_slope_cancels_exactly(self):
@@ -249,6 +319,21 @@ class TestNormalizeGain:
         assert np.array_equal(renormed.poles, default_design.filt.poles)
         assert np.array_equal(renormed.zeros, default_design.filt.zeros)
         assert renormed.gain != default_design.filt.gain
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("integer_part", [-2, 0, 1])
+    def test_design_tilt_levels_like_normalize_gain(self, alpha, integer_part):
+        # design_tilt levels the bare ladder; the gain must keep every bit.
+        design = design_tilt(alpha, order=12, skip=2, integer_part=integer_part)
+        filt = normalize_gain(make_analog_filter(design.spec, design.placement, 12), design.band)
+        assert design.filt == filt
+        assert design.filt.gain == filt.gain
+
+    def test_root_at_origin_named_before_the_gain(self):
+        # The zeros of this subnormal ladder underflow to -0.0, and the band
+        # center's square to 0, so the gain's log fails too: the root is named.
+        with pytest.raises(PoleOnAxisError, match="zero at s = 0"):
+            design_tilt(1.0, order=21, skip=3, f_min_hz=5e-318, f_max_hz=5e-290)
 
 
 class TestDesignFile:

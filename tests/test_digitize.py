@@ -306,6 +306,28 @@ class TestBilinear:
         with pytest.raises(OutOfRangeError):
             DigitalFilter(sos=np.zeros((0, 6)), gain=1.0, sample_rate_hz=0.0)
 
+    _ROW = [1.0, 0.5, 0.0, 1.0, -0.5, 0.0]
+    _SHAPE = (OutOfRangeError, "sos must be an (n, 6) array of rows [b0, b1, 0, 1, a1, 0]")
+
+    @pytest.mark.parametrize("sos, error", [
+        ([_ROW, [1.0, 0.5, 0.1, 1.0, -0.5, 0.0]], _SHAPE),  # b2 != 0
+        ([_ROW, [1.0, 0.5, 0.0, 1.0, -0.5, 0.3]], _SHAPE),  # a2 != 0
+        ([[1.0, 0.5, 0.0, 2.0, -0.5, 0.0], _ROW], _SHAPE),  # a0 != 1
+        ([_ROW, [1.0, 0.5, 0.0, 1.0, 1.0, 0.0]],
+         (UnstableMapError, "section pole -1.0 is not inside (-1, 1)")),
+        ([[1.0, 0.5, 0.0, 1.0, -1.0, 0.0]],
+         (UnstableMapError, "section pole 1.0 is not inside (-1, 1)")),
+        ([_ROW, [1.0, 0.5, 0.0, 1.0, np.nan, 0.0], [1.0, 0.5, 0.0, 1.0, 2.0, 0.0]],
+         (UnstableMapError, "section pole nan is not inside (-1, 1)")),
+        (np.zeros((0, 6)), (EmptyDesignError, "a cascade needs at least one section")),
+    ])
+    def test_rejections_name_the_fault(self, sos, error):
+        # The first failing check names the fault; an unstable one names the
+        # first pole outside (-1, 1).
+        with pytest.raises(FilterDesignError) as info:
+            DigitalFilter(sos=sos, gain=1.0, sample_rate_hz=48000.0)
+        assert (type(info.value), str(info.value)) == error
+
     def test_sos_is_a_read_only_copy(self, default_design):
         dfilt, _ = digitize_design(default_design, 48000.0)
         with pytest.raises(ValueError):
