@@ -6,6 +6,8 @@ per item, keyed so that a mismatch names the design:
 - ``design ...``: the design file text (``design_to_json``) of every grid
   design: 8 slopes x 4 (order, skip) pairs x 3 bands x integer parts 0, -1
   and -2, plus integer part +1 designs;
+- ``bode ...``: the slope report CSV text (``write_report_csv`` with no
+  metadata, 64 points per pole interval) of every grid design;
 - ``coeffs ... fs=...``: the coefficient file text of
   ``digitize_design(design, fs)[0]`` at 44.1, 48 and 96 kHz, or the name of
   the error the design raises there;
@@ -29,6 +31,7 @@ and commit the rewritten ``tests/golden_digests.json`` with the change.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import sys
@@ -45,7 +48,9 @@ from spectilt import (
     design_tilt,
     design_to_json,
     digitize_design,
+    slope_report,
 )
+from spectilt.bode import write_report_csv
 
 DIGEST_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 
@@ -100,6 +105,17 @@ def grid_designs():
 
 def design_digests() -> dict[str, str]:
     return {f"design {key}": _sha(design_to_json(_design(*args))) for key, args in _grid()}
+
+
+def bode_digests() -> dict[str, str]:
+    out = {}
+    for key, args in _grid():
+        design = _design(*args)
+        fh = io.StringIO()
+        write_report_csv(slope_report(design.filt, design.spec, design.placement, design.n,
+                                      design.k_skip), {}, fh)
+        out[f"bode {key}"] = _sha(fh.getvalue())
+    return out
 
 
 def coefficient_digests() -> dict[str, str]:
@@ -169,6 +185,10 @@ def test_design_files_bit_identical(golden):
     _assert_matches(golden, design_digests())
 
 
+def test_bode_reports_bit_identical(golden):
+    _assert_matches(golden, bode_digests())
+
+
 def test_coefficient_files_bit_identical(golden):
     _assert_matches(golden, coefficient_digests())
 
@@ -189,7 +209,8 @@ def test_public_sosfilt_fallback_gives_the_same_bits(monkeypatch):
 
 
 def main() -> None:
-    digests = {**design_digests(), **coefficient_digests(), **stream_digests()}
+    digests = {**design_digests(), **bode_digests(), **coefficient_digests(),
+               **stream_digests()}
     with open(DIGEST_PATH, "w", encoding="utf-8") as fh:
         json.dump({"toolchain": toolchain(), "digests": digests}, fh, indent=1, sort_keys=True)
         fh.write("\n")
