@@ -82,8 +82,12 @@ def log_mag_slope(filt: AnalogFilter, omega):
     if np.any(w <= 0.0):
         raise OutOfRangeError("omega must be positive")
     w2 = w * w
-    out = pole_zero_sum(filt.poles, filt.zeros, lambda root: w2 / (w2 + root * root),
-                        np.zeros(w.shape))
+    buf = np.empty_like(w2)  # each term is written here, then summed
+
+    def term(root):
+        return np.divide(w2, np.add(w2, root * root, out=buf), out=buf)
+
+    out = pole_zero_sum(filt.poles, filt.zeros, term, np.zeros(w.shape))
     return out if w.ndim else float(out)
 
 
@@ -106,7 +110,7 @@ def find_error_extrema(
     Extrema are located by sign changes of the discrete first difference and
     refined with a 3-point parabola.
     """
-    d = np.diff(error)
+    d = error[1:] - error[:-1]
     idx = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
     h = float(omega_log[1] - omega_log[0])
     out = []
@@ -156,7 +160,9 @@ def slope_report(
     lo = ln_p0 + k_skip * ln_r
     hi = ln_p0 + (n - 1 - k_skip) * ln_r
     pad = 1e-9 * ln_r
-    in_band = (omega_log >= lo - pad) & (omega_log <= hi + pad)
+    # The grid rises, so the good band is one slice of it.
+    in_band = slice(np.searchsorted(omega_log, lo - pad, side="left"),
+                    np.searchsorted(omega_log, hi + pad, side="right"))
     max_err = float(np.max(np.abs(error[in_band])))
     extrema = find_error_extrema(omega_log, error, lo, hi)
 

@@ -8,7 +8,9 @@ _prewarp), which lands all digital breaks exactly on the analog design's
 break ladder.  Poles are truncated so that one full spacing interval remains
 below the Nyquist limit, leaving room for the top zero to slide as the slope
 is modulated; any zero whose prewarped break would still meet fs/2 is clamped
-just below it.
+just below it.  The zeros are prewarped once per design (_prewarped_roots) or
+slope value (ModulationContext.rebuild), and _numerators is the one formula
+that maps them to section numerators.
 
 One leveling formula, the gain exp(P - Z) from the one-sided sums of
 _scalar_log_mag, puts a coefficient file at unity at the prewarped band
@@ -148,9 +150,12 @@ def _prewarp_zeros(zeros_rad_s: np.ndarray, c: float, fs_hz: float) -> np.ndarra
     return np.fmax(_prewarp(zeros_rad_s, c, fs_hz), -TWO_PI * ZERO_CLAMP_FRACTION * fs_hz)
 
 
-def _prototype(filt: AnalogFilter, c: float, fs_hz: float, band: BandSpec) -> AnalogFilter:
-    """Truncated, prewarped filter whose zeros are clamped below fs/2, leveled
-    at unity at the prewarped band center, where every design is unity."""
+def _prewarped_roots(filt: AnalogFilter, c: float, fs_hz: float,
+                     band: BandSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """(poles, zeros, gain) of the truncated, prewarped filter whose zeros are
+    clamped below fs/2, leveled at unity at the prewarped band center, where
+    every design is unity.  Not checked as an AnalogFilter: digitize_design
+    maps the arrays, and DigitalFilter checks the sections they give."""
     if len(filt.zeros) > len(filt.poles):
         raise UnstableMapError(
             "more zeros than poles: the substitution would place digital poles at z=-1; "
@@ -172,13 +177,24 @@ def _prototype(filt: AnalogFilter, c: float, fs_hz: float, band: BandSpec) -> An
         raise AboveNyquistError(f"band center {band.center_hz} Hz is not below fs/2")
     wc = -float(_prewarp(TWO_PI * band.center_hz, c, fs_hz))
     gain = math.exp(_scalar_log_mag(prew_poles, wc) - _scalar_log_mag(prew_zeros, wc))
-    return AnalogFilter(poles=prew_poles, zeros=prew_zeros, gain=gain)
+    return prew_poles, prew_zeros, gain
 
 
 def prewarped_prototype(design: TiltDesign, fs_hz: float) -> AnalogFilter:
-    """The truncated, prewarped s-plane filter that ``digitize_design`` maps."""
-    return _prototype(design.filt, prewarp_constant(design.placement.f1_hz, fs_hz),
-                      fs_hz, design.band)
+    """The truncated, prewarped s-plane filter whose roots ``digitize_design`` maps."""
+    return AnalogFilter(*_prewarped_roots(
+        design.filt, prewarp_constant(design.placement.f1_hz, fs_hz), fs_hz, design.band))
+
+
+def _numerators(prew_zeros: np.ndarray, c: float, dens: np.ndarray,
+                b0: np.ndarray, b1: np.ndarray) -> None:
+    """Write each section's numerator into b0 and b1: the bilinear map of its
+    prewarped zero over its denominator, and z=-1 for the sections past the
+    zeros.  The one numerator formula, for designs and rebuilds alike."""
+    nz = len(prew_zeros)
+    b0[:nz] = (c - prew_zeros) / dens[:nz]
+    b1[:nz] = -(c + prew_zeros) / dens[:nz]
+    b0[nz:] = b1[nz:] = 1.0 / dens[nz:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +203,7 @@ class ModulationContext:
 
     The poles (hence every a1) never move; a slope only slides the zero
     anchors by design._slide_zeros, and the zeros are then prewarped and
-    mapped.  ``digitize_design`` takes its numerators from here.  The gain
+    mapped by _numerators, as ``digitize_design`` maps its own.  The gain
     levels the louder band edge at unity (f_min for downward tilts, f_max
     for upward ones), not the band center as a coefficient file does: a
     tilt across the band spans (f_max/f_min)**|alpha| in gain, so any
@@ -215,16 +231,13 @@ class ModulationContext:
 
     def _rebuild_into(self, alpha: float, b0: np.ndarray, b1: np.ndarray) -> float:
         """rebuild writing into b0 and b1, which may be the columns of a live
-        cascade; returns the gain.  Sections past the zeros get z=-1."""
+        cascade; returns the gain."""
         alpha = float(alpha)
         if not -1.0 <= alpha <= 1.0:
             raise OutOfRangeError(f"alpha must lie in [-1, 1], got {alpha}")
         prew_zeros = _prewarp_zeros(_slide_zeros(self.zero_anchors, self.ratio, alpha),
                                     self.c, self.fs_hz)
-        nz, dens = len(prew_zeros), self.section_dens
-        b0[:nz] = (self.c - prew_zeros) / dens[:nz]
-        b1[:nz] = -(self.c + prew_zeros) / dens[:nz]
-        b0[nz:] = b1[nz:] = 1.0 / dens[nz:]
+        _numerators(prew_zeros, self.c, self.section_dens, b0, b1)
         if alpha < 0.0:
             anchor, pole_log_mag = self.level_omega_low, self.pole_log_mag_low
         else:
@@ -237,15 +250,17 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
     slope changes.
 
     Each prewarped pole p and zero z of the prototype (see prewarped_prototype)
-    maps to the section pole (c + p)/(c - p) and zero (c + z)/(c - z), the
-    numerators being ``context.rebuild`` at the design slope.  The prototype's
-    gain, leveled at the band center, is the cascade's gain, so H_d(e^{j w T})
-    equals the prototype's response at the prewarped frequency to rounding.
+    maps to the section pole (c + p)/(c - p) and zero (c + z)/(c - z).  The
+    zeros are prewarped once, and _numerators maps them as the context's
+    rebuild maps the zeros of any slope, so rebuilding at the design slope
+    gives the same numerators bit for bit.  The prototype's gain, leveled at
+    the band center, is the cascade's gain, so H_d(e^{j w T}) equals the
+    prototype's response at the prewarped frequency to rounding.
     """
     c = prewarp_constant(design.placement.f1_hz, fs_hz)
-    proto = _prototype(design.filt, c, fs_hz, design.band)
-    section_dens = c - proto.poles
-    a1 = -(c + proto.poles) / section_dens
+    prew_poles, prew_zeros, gain = _prewarped_roots(design.filt, c, fs_hz, design.band)
+    section_dens = c - prew_poles
+    a1 = -(c + prew_poles) / section_dens
     # The lowest break maps nearest z = 1, and at a high enough rate onto it.
     if a1[0] <= -1.0:
         raise OutOfRangeError(f"sample rate {fs_hz:g} Hz is too high to resolve the "
@@ -257,31 +272,32 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
                           ZERO_CLAMP_FRACTION * fs_hz)
     level_low, level_high = (-_prewarp(TWO_PI * edges_hz, c, fs_hz)).tolist()
     context = ModulationContext(
-        zero_anchors=design.geometric_poles[:len(proto.zeros)].copy(),
+        zero_anchors=design.geometric_poles[:len(prew_zeros)].copy(),
         ratio=design.placement.r,
         c=c,
         fs_hz=fs_hz,
         section_dens=section_dens,
         level_omega_low=level_low,
         level_omega_high=level_high,
-        pole_log_mag_low=_scalar_log_mag(proto.poles, level_low),
-        pole_log_mag_high=_scalar_log_mag(proto.poles, level_high),
+        pole_log_mag_low=_scalar_log_mag(prew_poles, level_low),
+        pole_log_mag_high=_scalar_log_mag(prew_poles, level_high),
     )
-    b0, b1, _ = context.rebuild(design.spec.alpha)
-    dfilt = DigitalFilter(sos=_first_order_sos(b0, b1, a1), gain=proto.gain,
-                          sample_rate_hz=fs_hz)
-    return dfilt, context
+    sos = _first_order_sos(0.0, 0.0, a1)  # numerators written into its columns
+    _numerators(prew_zeros, c, section_dens, sos[:, 0], sos[:, 1])
+    return DigitalFilter(sos=sos, gain=gain, sample_rate_hz=fs_hz), context
 
 
 _COEFF_FIELDS = ("sample_rate_hz", "gain", "sections")
 _SECTION_FIELDS = ("b0", "b1", "a1")
-# One section's object, for the Python floats of one sos row.
-_SECTION_ROW = "{{" + ", ".join(f'"{key}": {{:{REAL_FORMAT}}}' for key in _SECTION_FIELDS) + "}}"
+# One section's object, a %-format template for the floats of one sos row.
+_SECTION_ROW = "{" + ", ".join(f'"{key}": %{REAL_FORMAT}' for key in _SECTION_FIELDS) + "}"
 
 
 def coefficients_to_json(dfilt: DigitalFilter) -> str:
-    """Render the coefficient file (fixed field order, 17-digit reals)."""
-    rows = ", ".join(_SECTION_ROW.format(*row) for row in dfilt.sos[:, (0, 1, 4)].tolist())
+    """Render the coefficient file (fixed field order, 17-digit reals); every
+    section's floats are formatted in one %-format call."""
+    values = dfilt.sos[:, (0, 1, 4)].ravel().tolist()
+    rows = ", ".join([_SECTION_ROW] * len(dfilt.sos)) % tuple(values)
     return emit_object(
         [
             ("sample_rate_hz", f17(dfilt.sample_rate_hz)),

@@ -5,6 +5,8 @@ import runpy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from spectilt import (
     AnalogFilter,
     BadGoodBandError,
@@ -21,6 +23,7 @@ from spectilt.bode import CSV_HEADER, find_error_extrema, freq_response
 from spectilt.design import PlacementResult, SlopeSpec, make_analog_filter, place_poles
 
 from conftest import random_band
+from test_golden import _design, _grid
 
 TWO_PI = 2.0 * math.pi
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
@@ -124,6 +127,75 @@ class TestLogMagSlope:
         assert np.all(s > -0.5 - 1.0)
         assert np.all(s < -0.5 + 1.0)
         assert np.max(np.abs(s + 0.5)) < 0.05
+
+
+def reference_sums(filt, omega):
+    """(slope, log magnitude, phase) as plain per-root sums in pole_zero_sum's
+    interleaved order, each term a fresh temporary."""
+    w = np.asarray(omega, dtype=np.float64)
+    w2 = w * w
+    slope, log_mag, phase = np.zeros(w.shape), np.full(w.shape, math.log(filt.gain)), np.zeros(w.shape)
+    zeros, poles = filt.zeros.tolist(), filt.poles.tolist()
+    for k in range(max(len(zeros), len(poles))):
+        if k < len(zeros):
+            z = zeros[k]
+            slope += w2 / (w2 + z * z)
+            log_mag += 0.5 * np.log(w2 + z * z)
+            phase += np.arctan2(w, -z)
+        if k < len(poles):
+            p = poles[k]
+            slope -= w2 / (w2 + p * p)
+            log_mag -= 0.5 * np.log(w2 + p * p)
+            phase -= np.arctan2(w, -p)
+    return slope, log_mag, phase
+
+
+def assert_sums_match_reference(filt, omega):
+    got = (log_mag_slope(filt, omega), filt.log_magnitude(omega), filt.phase(omega))
+    for name, value, expected in zip(("slope", "log_magnitude", "phase"), got,
+                                     reference_sums(filt, omega)):
+        value = np.asarray(value)
+        assert value.dtype == np.float64 and value.shape == expected.shape, name
+        assert value.tobytes() == expected.tobytes(), name
+
+
+class TestBufferedSums:
+    """The kernels write each term into one scratch array per call; the sums
+    must keep every bit of the plain per-root sums."""
+
+    def test_golden_grid_bit_identical(self):
+        for _, args in _grid():
+            design = _design(*args)
+            omega = slope_report(design.filt, design.spec, design.placement, design.n,
+                                 design.k_skip, points_per_interval=8).grid.omega
+            assert_sums_match_reference(design.filt, omega)
+            for w in (omega[0], TWO_PI * design.band.center_hz, omega[-1]):
+                assert_sums_match_reference(design.filt, float(w))
+            assert type(log_mag_slope(design.filt, float(omega[0]))) is float
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(-1.0, 1.0), n=st.integers(1, 30), integer_part=st.integers(-4, 4),
+           f1=st.floats(1e-3, 1e5), r=st.floats(1.01, 100.0), gain=st.floats(1e-3, 1e3),
+           omega=st.lists(st.floats(1e-6, 1e9), max_size=50))
+    def test_random_ladders_bit_identical(self, alpha, n, integer_part, f1, r, gain, omega):
+        ladder = make_analog_filter(SlopeSpec(alpha, integer_part), PlacementResult(f1, r), n)
+        filt = AnalogFilter(poles=ladder.poles, zeros=ladder.zeros, gain=gain)
+        assert_sums_match_reference(filt, np.array(omega))
+        assert_sums_match_reference(filt, np.array(omega[::-1]).reshape(-1, 1))
+        for w in omega[:3]:
+            assert_sums_match_reference(filt, w)
+
+    def test_successive_calls_return_independent_arrays(self, default_design):
+        filt = default_design.filt
+        omega = TWO_PI * np.geomspace(20.0, 20000.0, 64)
+        for kernel in (lambda w: log_mag_slope(filt, w), filt.log_magnitude, filt.phase):
+            first = kernel(omega)
+            kept = first.copy()
+            second = kernel(omega)
+            assert not np.shares_memory(first, second)
+            assert not np.shares_memory(first, omega)
+            second[:] = np.nan
+            assert first.tobytes() == kept.tobytes()
 
 
 class TestSlopeReport:

@@ -94,6 +94,9 @@ EXIT_2 = {
                  "sample rate 1e+200 Hz is too high to resolve the 4.06184 Hz break"),
     "order-5-skip-2": ("design --alpha 0.3 --order 5 --skip 2", "no interval left for the band"),
     "alpha=1.5": ("design --alpha 1.5", "alpha must lie in [-1, 1]"),
+    # The squares of the band center and of the lowest roots underflow to 0.
+    "band-underflow": ("design --alpha -0.5 --order 4 --skip 1 --fmin 1e-200 --fmax 1e-180",
+                       "band too low: at its center, 1e-190 Hz"),
     # Rejected before the ladder is allocated: this order would need 72.8 TiB.
     "order=1e13": ("design --alpha -0.5 --order 10000000000000",
                    "order must be <= 10000, got n=10000000000000"),
@@ -185,6 +188,7 @@ class TestDesignCommand:
     test_degenerate_order_exits_2 = contract("order-5-skip-2")
     test_alpha_out_of_range_exits_2 = contract("alpha=1.5")
     test_order_past_bound_exits_2 = contract("order=1e13")
+    test_underflowing_band_exits_2 = contract("band-underflow")
 
     def test_round_trip_is_exact(self, tmp_path, capsys):
         path = tmp_path / "d.json"

@@ -33,6 +33,7 @@ from spectilt.design import (
     place_poles,
 )
 from spectilt.errors import DesignMismatchError, FileFormatError
+from spectilt.serialize import f17, float_list
 
 from conftest import mutated_json, random_band
 
@@ -194,6 +195,7 @@ class TestAnalogFilter:
     def test_each_stage_checks_its_filter_once(self, monkeypatch):
         # design_tilt levels its ladder before wrapping it, and a design file
         # re-derives through design_tilt: one AnalogFilter check per stage.
+        # Digitizing maps the prewarped arrays and builds no AnalogFilter.
         calls = []
         check = AnalogFilter.__post_init__
 
@@ -207,7 +209,7 @@ class TestAnalogFilter:
         design_from_json(design_to_json(design))
         after_load = len(calls)
         digitize_design(design, 48000.0)
-        assert [after_design, after_load - after_design, len(calls) - after_load] == [1, 1, 1]
+        assert [after_design, after_load - after_design, len(calls) - after_load] == [1, 1, 0]
 
 
 class TestMakeAnalogFilter:
@@ -334,6 +336,29 @@ class TestNormalizeGain:
         # center's square to 0, so the gain's log fails too: the root is named.
         with pytest.raises(PoleOnAxisError, match="zero at s = 0"):
             design_tilt(1.0, order=21, skip=3, f_min_hz=5e-318, f_max_hz=5e-290)
+
+    @pytest.mark.parametrize("order, skip, f_min, f_max, integer_part, center", [
+        (4, 1, 1e-200, 1e-180, -1, "1e-190"),
+        (21, 3, 5e-318, 5e-290, 0, "5e-304"),
+    ])
+    def test_underflowing_band_named(self, order, skip, f_min, f_max, integer_part, center):
+        # The squares of the band center and of a root underflow to 0, so the
+        # gain's log has no value: the band is named, not a bare math error.
+        with pytest.raises(InvalidBandError, match=f"band too low: at its center, {center} Hz"):
+            design_tilt(-0.5, order=order, skip=skip, f_min_hz=f_min, f_max_hz=f_max,
+                        integer_part=integer_part)
+
+
+class TestFloatList:
+    EDGES = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+             1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.floats() | st.sampled_from(EDGES), max_size=40))
+    @example(xs=EDGES)
+    @example(xs=[])
+    def test_one_call_matches_f17_per_float(self, xs):
+        assert float_list(xs) == "[" + ", ".join(f17(x) for x in xs) + "]"
 
 
 class TestDesignFile:

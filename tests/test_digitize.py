@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectilt import (
@@ -26,13 +26,15 @@ from spectilt import (
 from spectilt.bode import freq_response
 from spectilt.digitize import (
     ZERO_CLAMP_FRACTION,
+    _first_order_sos,
     _margin_rule_count,
     _prewarp,
-    _prototype,
+    _prewarped_roots,
     coefficients_from_json,
     prewarp_constant,
 )
 from spectilt.errors import FileFormatError
+from spectilt.serialize import f17
 
 from conftest import mutated_json
 from test_golden import SAMPLE_RATES, grid_designs
@@ -141,11 +143,11 @@ class TestPrewarpBreak:
         band = BandSpec(100.0, 200.0)
         above = AnalogFilter(poles=[-TWO_PI * 100.0, -TWO_PI * 24000.0], zeros=[], gain=1.0)
         with pytest.raises(AboveNyquistError):
-            _prototype(above, c, 48000.0, band)
+            _prewarped_roots(above, c, 48000.0, band)
         clamped = AnalogFilter(poles=[-TWO_PI * 100.0, -TWO_PI * 200.0],
                                zeros=[-TWO_PI * 150.0, -TWO_PI * 30000.0], gain=1.0)
-        proto = _prototype(clamped, c, 48000.0, band)
-        assert proto.zeros[1] == -TWO_PI * ZERO_CLAMP_FRACTION * 48000.0
+        _, zeros, _ = _prewarped_roots(clamped, c, 48000.0, band)
+        assert zeros[1] == -TWO_PI * ZERO_CLAMP_FRACTION * 48000.0
 
 
 class TestTruncate:
@@ -428,6 +430,19 @@ class TestCoefficientFile:
         mangle(obj)
         with pytest.raises(FileFormatError):
             coefficients_from_json(json.dumps(obj))
+
+    @given(rows=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.floats(allow_nan=False, allow_infinity=False),
+                                   st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+                         min_size=1, max_size=12))
+    @example(rows=[(-0.0, 5e-324, -2.5e-310), (1e308, -1e308, 0.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_sections_match_f17_per_float(self, rows):
+        dfilt = DigitalFilter(sos=_first_order_sos(*np.array(rows).T), gain=1.0,
+                              sample_rate_hz=48000.0)
+        sections = ", ".join('{"b0": %s, "b1": %s, "a1": %s}' % tuple(f17(x) for x in row)
+                             for row in rows)
+        assert f'"sections": [{sections}]\n' in coefficients_to_json(dfilt)
 
     @pytest.mark.parametrize("text", ["", "[]", '{"sections": [', "Infinity"])
     def test_not_an_object_raises_format_error(self, text):
