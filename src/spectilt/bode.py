@@ -82,7 +82,7 @@ def log_mag_slope(filt: AnalogFilter, omega):
     if np.any(w <= 0.0):
         raise OutOfRangeError("omega must be positive")
     w2 = w * w
-    buf = np.empty_like(w2)  # each term is written here, then summed
+    buf = np.empty_like(w2)  # each term; pole_zero_sum adds it into out before the next
 
     def term(root):
         return np.divide(w2, np.add(w2, root * root, out=buf), out=buf)
@@ -160,9 +160,7 @@ def slope_report(
     lo = ln_p0 + k_skip * ln_r
     hi = ln_p0 + (n - 1 - k_skip) * ln_r
     pad = 1e-9 * ln_r
-    # The grid rises, so the good band is one slice of it.
-    in_band = slice(np.searchsorted(omega_log, lo - pad, side="left"),
-                    np.searchsorted(omega_log, hi + pad, side="right"))
+    in_band = (omega_log >= lo - pad) & (omega_log <= hi + pad)
     max_err = float(np.max(np.abs(error[in_band])))
     extrema = find_error_extrema(omega_log, error, lo, hi)
 

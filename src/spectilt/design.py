@@ -168,21 +168,15 @@ class AnalogFilter:
         """ln |H(j omega)|, accumulated factor by factor (no overflow for any order)."""
         w = np.asarray(omega, dtype=np.float64)
         w2 = w * w
-        buf = np.empty_like(w2)  # each term is written here, then summed
-
-        def term(root):
-            np.log(np.add(w2, root * root, out=buf), out=buf)
-            return np.multiply(buf, 0.5, out=buf)
-
-        return pole_zero_sum(self.poles, self.zeros, term,
+        return pole_zero_sum(self.poles, self.zeros,
+                             lambda root: 0.5 * np.log(w2 + root * root),
                              np.full(w2.shape, math.log(self.gain)))
 
     def phase(self, omega) -> np.ndarray:
         """arg H(j omega); each real-axis factor contributes an angle in [0, pi)."""
         w = np.asarray(omega, dtype=np.float64)
-        buf = np.empty_like(w)
-        return pole_zero_sum(self.poles, self.zeros,
-                             lambda root: np.arctan2(w, -root, out=buf), np.zeros(w.shape))
+        return pole_zero_sum(self.poles, self.zeros, lambda root: np.arctan2(w, -root),
+                             np.zeros(w.shape))
 
 
 def pole_zero_sum(poles: np.ndarray, zeros: np.ndarray, term, start):
@@ -193,8 +187,6 @@ def pole_zero_sum(poles: np.ndarray, zeros: np.ndarray, term, start):
     terms are interleaved, so for interlaced arrays the running sum stays O(1)
     instead of O(order), keeping rounding noise far below the ripple being
     measured, and a fully canceling array (alpha = 0) sums to exactly ``start``.
-    An array ``start`` is updated in place, so ``term`` may return the same
-    scratch array for every root.
     """
     out = start
     zeros, poles = zeros.tolist(), poles.tolist()  # float roots: faster scalar math
@@ -295,10 +287,21 @@ def normalize_gain(filt: AnalogFilter, band: BandSpec) -> AnalogFilter:
 
 
 def _center_gain(poles: np.ndarray, zeros: np.ndarray, band: BandSpec) -> float:
-    """The gain that puts |H| at 1 at the band center (see normalize_gain)."""
+    """The gain that puts |H| at 1 at the band center (see normalize_gain).
+
+    A band so low that the squares of its center and of a root underflow to 0
+    raises InvalidBandError.
+    """
     wc = TWO_PI * band.center_hz
     wc2 = wc * wc
-    log_mag = pole_zero_sum(poles, zeros, lambda root: 0.5 * math.log(wc2 + root * root), 0.0)
+    try:
+        log_mag = pole_zero_sum(poles, zeros, lambda root: 0.5 * math.log(wc2 + root * root),
+                                0.0)
+    except ValueError:  # math.log(0.0)
+        raise InvalidBandError(
+            f"band too low: at its center, "
+            f"{math.sqrt(band.f_min_hz) * math.sqrt(band.f_max_hz):.3g} Hz, squared angular "
+            "frequencies underflow to 0, so the gain cannot be leveled") from None
     return math.exp(-log_mag)
 
 
@@ -337,9 +340,7 @@ def design_tilt(
     """Place, build, and gain-normalize a tilt filter in one call.
 
     The same filter as normalize_gain(make_analog_filter(...), band), leveled
-    before it is wrapped, so AnalogFilter checks the arrays once.  A band so
-    low that the squares of its center and of a root underflow to 0 raises
-    InvalidBandError.
+    before it is wrapped, so AnalogFilter checks the arrays once.
     """
     spec = SlopeSpec(alpha=alpha, integer_part=integer_part)
     band = BandSpec(f_min_hz=f_min_hz, f_max_hz=f_max_hz)
@@ -347,12 +348,9 @@ def design_tilt(
     poles, zeros = _ladder(spec, placement, order)
     try:
         gain = _center_gain(poles, zeros, band)
-    except ValueError:  # math.log(0.0): the squares of the band center and a root underflow
+    except InvalidBandError:
         AnalogFilter(poles, zeros)  # a ladder with a root at s = 0 still says so first
-        raise InvalidBandError(
-            f"band too low: at its center, "
-            f"{math.sqrt(band.f_min_hz) * math.sqrt(band.f_max_hz):.3g} Hz, squared angular "
-            "frequencies underflow to 0, so the gain cannot be leveled") from None
+        raise
     filt = AnalogFilter(poles=poles, zeros=zeros, gain=gain)
     return TiltDesign(spec=spec, band=band, n=order, k_skip=skip, placement=placement, filt=filt)
 

@@ -160,8 +160,9 @@ def assert_sums_match_reference(filt, omega):
 
 
 class TestBufferedSums:
-    """The kernels write each term into one scratch array per call; the sums
-    must keep every bit of the plain per-root sums."""
+    """log_mag_slope writes each term into one scratch array per call; its
+    sums, like those of log_magnitude and phase, must keep every bit of the
+    plain per-root sums."""
 
     def test_golden_grid_bit_identical(self):
         for _, args in _grid():

@@ -344,9 +344,16 @@ class TestNormalizeGain:
     def test_underflowing_band_named(self, order, skip, f_min, f_max, integer_part, center):
         # The squares of the band center and of a root underflow to 0, so the
         # gain's log has no value: the band is named, not a bare math error.
-        with pytest.raises(InvalidBandError, match=f"band too low: at its center, {center} Hz"):
+        # normalize_gain on the same ladder names it the same way.
+        match = f"band too low: at its center, {center} Hz"
+        with pytest.raises(InvalidBandError, match=match):
             design_tilt(-0.5, order=order, skip=skip, f_min_hz=f_min, f_max_hz=f_max,
                         integer_part=integer_part)
+        band = BandSpec(f_min, f_max)
+        ladder = make_analog_filter(SlopeSpec(-0.5, integer_part), place_poles(order, skip, band),
+                                    order)
+        with pytest.raises(InvalidBandError, match=match):
+            normalize_gain(ladder, band)
 
 
 class TestFloatList:
