@@ -381,6 +381,63 @@ class TestApplyCommand:
         assert np.all(np.isfinite(y))
 
 
+def _swept_reference(design, fs: float, x: np.ndarray, sweep: str) -> bytes:
+    """apply --alpha-sweep's output bytes as a plain loop: set_alpha at the
+    start of each 64-sample control block, then process that block."""
+    from spectilt.cli import _parse_sweep
+    from spectilt.runtime import StreamingFilter
+
+    schedule = _parse_sweep(sweep)
+    filt = StreamingFilter.for_design(design, fs)
+    out = []
+    for pos in range(0, len(x), 64):
+        filt.set_alpha(schedule(pos / fs))
+        out.append(filt.process(x[pos:pos + 64]))
+    return np.concatenate(out).astype("<f8").tobytes()
+
+
+# name -> (design_tilt keywords, sample rate, samples, sweep)
+SWEPT_CASES = {
+    # Two whole 64 Ki-sample reads and a tail that ends mid control block.
+    "stock": ({"alpha": -0.5}, 48000.0, 150_001, "-0.9:0.8:4"),
+    # The slope reaches -1 at 91 200 samples, in the second read, and holds.
+    "ends-mid-stream": ({"alpha": -0.5}, 48000.0, 150_001, "1:-1:1.9"),
+    "integer-part-1-44k1": ({"alpha": -0.3, "integer_part": -1}, 44100.0, 150_001, "-1:1:2"),
+    # 2000 sections: a read's 1024 control blocks take many rebuild groups.
+    "order-2000": ({"alpha": -0.5, "order": 2000}, 48000.0, 70_000, "-1:1:1"),
+}
+
+
+class TestSweptApplyBytes:
+    """apply --alpha-sweep writes exactly the bytes of set_alpha before
+    every 64-sample block, however it reads and rebuilds."""
+
+    @pytest.mark.parametrize("case", sorted(SWEPT_CASES))
+    def test_file_bytes_equal_per_block_loop(self, tmp_path, capsys, case):
+        kwargs, fs, n, sweep = SWEPT_CASES[case]
+        design = design_tilt(**kwargs)
+        x = np.random.default_rng(n).standard_normal(n)
+        dpath, xin, xout = tmp_path / "d.json", tmp_path / "in.raw", tmp_path / "out.raw"
+        dpath.write_text(design_to_json(design))
+        x.astype("<f8").tofile(xin)
+        code, _, err = run(capsys, "apply", "--design", str(dpath), "--fs", repr(fs),
+                           f"--alpha-sweep={sweep}", "-i", str(xin), "-o", str(xout))
+        assert code == 0, err
+        assert xout.read_bytes() == _swept_reference(design, fs, x, sweep)
+
+    def test_stdin_bytes_equal_per_block_loop(self, tmp_path, capsys, monkeypatch):
+        kwargs, fs, n, sweep = SWEPT_CASES["stock"]
+        design = design_tilt(**kwargs)
+        x = np.random.default_rng(n).standard_normal(n)
+        dpath, xout = tmp_path / "d.json", tmp_path / "out.raw"
+        dpath.write_text(design_to_json(design))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(x.astype("<f8").tobytes())))
+        code, _, err = run(capsys, "apply", "--design", str(dpath), "--fs", repr(fs),
+                           f"--alpha-sweep={sweep}", "-o", str(xout))
+        assert code == 0, err
+        assert xout.read_bytes() == _swept_reference(design, fs, x, sweep)
+
+
 class TestNoiseCommand:
     def test_deterministic_bytes(self, tmp_path, capsys):
         a = tmp_path / "a.raw"
