@@ -25,9 +25,11 @@ from .errors import FilterDesignError, OutOfRangeError, StreamFormatError
 USAGE_ERROR = 2
 INTERNAL_ERROR = 1
 
-STREAM_CHUNK = 1 << 16
 # Samples per control block when a slope schedule is applied.
 CONTROL_BLOCK = 64
+# Samples per read and write; a multiple of CONTROL_BLOCK, so the control
+# blocks keep their positions from the start of the stream.
+STREAM_CHUNK = 1 << 16
 
 
 def _add_band_flags(p: argparse.ArgumentParser) -> None:
@@ -166,7 +168,7 @@ def _parse_sweep(text: str):
 
 
 def cmd_apply(args) -> int:
-    from .runtime import StreamingFilter
+    from .runtime import StreamingFilter, _swept_blocks
 
     if (args.coeffs is None) == (args.design is None):
         raise FilterDesignError("give exactly one of --coeffs FILE or --design FILE")
@@ -182,20 +184,16 @@ def cmd_apply(args) -> int:
         filt = StreamingFilter.for_design(design, args.fs)
     else:
         filt = StreamingFilter(load_coefficients(args.coeffs))
-    block = CONTROL_BLOCK if schedule is not None else STREAM_CHUNK
-
-    def filtered(blocks):
-        pos = 0
-        for x in blocks:
-            if schedule is not None:
-                filt.set_alpha(schedule(pos / filt.sample_rate_hz))
-            pos += len(x)
-            yield filt.process(x)
 
     with _open_stream(args.input, "rb") as fh_in:
         _check_input_file(fh_in)
+        chunks = _read_blocks(fh_in, STREAM_CHUNK)
+        if schedule is None:
+            blocks = map(filt.process, chunks)
+        else:
+            blocks = _swept_blocks(filt, chunks, schedule, CONTROL_BLOCK)
         with _open_stream(args.output, "wb") as fh_out:
-            _write_blocks(fh_out, filtered(_read_blocks(fh_in, block)))
+            _write_blocks(fh_out, blocks)
     return 0
 
 

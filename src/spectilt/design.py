@@ -85,8 +85,16 @@ class BandSpec:
 
     @property
     def center_hz(self) -> float:
-        """Log-geometric band center."""
-        return math.sqrt(self.f_min_hz * self.f_max_hz)
+        """Log-geometric band center.  A band so low that f_min*f_max
+        underflows raises InvalidBandError: its center would lose bits, or
+        come out 0 and level the design at DC."""
+        product = self.f_min_hz * self.f_max_hz
+        if product < sys.float_info.min:
+            raise InvalidBandError(
+                f"band too low: at its center, "
+                f"{math.sqrt(self.f_min_hz) * math.sqrt(self.f_max_hz):.3g} Hz, f_min*f_max "
+                "underflows, so the center cannot be computed")
+        return math.sqrt(product)
 
 
 @dataclass(frozen=True)
@@ -183,7 +191,7 @@ def pole_zero_sum(poles: np.ndarray, zeros: np.ndarray, term, start):
     """start + sum of term(zero) over the zeros - sum of term(pole) over the poles.
 
     Every analog sum over the prototype's factors goes through here (the
-    digital leveling sums are one-sided: see digitize._scalar_log_mag).  The
+    digital leveling sums are one-sided: see digitize._log_mag).  The
     terms are interleaved, so for interlaced arrays the running sum stays O(1)
     instead of O(order), keeping rounding noise far below the ripple being
     measured, and a fully canceling array (alpha = 0) sums to exactly ``start``.
@@ -228,10 +236,16 @@ def place_poles(n: int, k_skip: int, band: BandSpec) -> PlacementResult:
     return PlacementResult(f1_hz=f1, r=math.exp(ln_r))
 
 
-def _slide_zeros(anchors, r: float, alpha: float) -> np.ndarray:
+def _slide_zeros(anchors, r: float, alpha) -> np.ndarray:
     """Zeros for slope alpha: the anchors slid by -alpha*ln r in log frequency.
     The one slide rule: make_analog_filter slides the pole ladder and
-    ModulationContext.rebuild the kept ladder poles, so both agree bit for bit."""
+    ModulationContext.rebuild the kept ladder poles, so both agree bit for bit.
+
+    Given a list of slopes, one row of zeros per slope.  Each factor
+    r**-alpha is a Python float power either way (numpy's vectorized power
+    need not round the same), so each row is its slope's zeros bit for bit."""
+    if isinstance(alpha, list):
+        return anchors * np.array([r ** (-a) for a in alpha])[:, None]
     return anchors * r ** (-alpha)
 
 
@@ -289,20 +303,19 @@ def normalize_gain(filt: AnalogFilter, band: BandSpec) -> AnalogFilter:
 def _center_gain(poles: np.ndarray, zeros: np.ndarray, band: BandSpec) -> float:
     """The gain that puts |H| at 1 at the band center (see normalize_gain).
 
-    A band so low that the squares of its center and of a root underflow to 0
-    raises InvalidBandError.
+    A band too low for its center (see BandSpec.center_hz) raises
+    InvalidBandError, and a gain past the float range OutOfRangeError.  Past
+    that check the squared angular center is at least 8.7e-307, so no log
+    term meets 0.
     """
     wc = TWO_PI * band.center_hz
     wc2 = wc * wc
+    log_mag = pole_zero_sum(poles, zeros, lambda root: 0.5 * math.log(wc2 + root * root), 0.0)
     try:
-        log_mag = pole_zero_sum(poles, zeros, lambda root: 0.5 * math.log(wc2 + root * root),
-                                0.0)
-    except ValueError:  # math.log(0.0)
-        raise InvalidBandError(
-            f"band too low: at its center, "
-            f"{math.sqrt(band.f_min_hz) * math.sqrt(band.f_max_hz):.3g} Hz, squared angular "
-            "frequencies underflow to 0, so the gain cannot be leveled") from None
-    return math.exp(-log_mag)
+        return math.exp(-log_mag)
+    except OverflowError:
+        raise OutOfRangeError(f"the gain that levels the band center at unity, "
+                              f"e^{-log_mag:.5g}, overflows float64") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,7 +361,7 @@ def design_tilt(
     poles, zeros = _ladder(spec, placement, order)
     try:
         gain = _center_gain(poles, zeros, band)
-    except InvalidBandError:
+    except (InvalidBandError, OutOfRangeError):
         AnalogFilter(poles, zeros)  # a ladder with a root at s = 0 still says so first
         raise
     filt = AnalogFilter(poles=poles, zeros=zeros, gain=gain)

@@ -10,10 +10,10 @@ below the Nyquist limit, leaving room for the top zero to slide as the slope
 is modulated; any zero whose prewarped break would still meet fs/2 is clamped
 just below it.  The zeros are prewarped once per design (_prewarped_roots) or
 slope value (ModulationContext.rebuild), and _numerators is the one formula
-that maps them to section numerators.
+that maps them to section numerators, for one slope or a batch of them.
 
 One leveling formula, the gain exp(P - Z) from the one-sided sums of
-_scalar_log_mag, puts a coefficient file at unity at the prewarped band
+_log_mag, puts a coefficient file at unity at the prewarped band
 center and a stream at its louder band edge (see ModulationContext).
 """
 
@@ -36,6 +36,9 @@ from .serialize import REAL_FORMAT, emit_object, f17, parse_object, real
 
 # Prewarped zero breaks at or above fs/2 are pinned to this fraction of fs.
 ZERO_CLAMP_FRACTION = 0.499
+# Coefficients one group of a batched rebuild holds, whatever the order: an
+# order-10 000 design rebuilds a few slopes per group, not a 1024-row array.
+_BATCH_COEFFS = 1 << 16
 
 
 def prewarp_constant(f1_hz: float, fs_hz: float) -> float:
@@ -44,7 +47,9 @@ def prewarp_constant(f1_hz: float, fs_hz: float) -> float:
         raise AboveNyquistError(f"need 0 < f1 < fs/2, got f1={f1_hz}, fs={fs_hz}")
     if not math.isfinite(fs_hz):
         raise OutOfRangeError(f"sample rate must be finite, got {fs_hz}")
-    c = TWO_PI * f1_hz / math.tan(math.pi * f1_hz / fs_hz)
+    tangent = math.tan(math.pi * f1_hz / fs_hz)
+    # A tangent that underflows to 0 leaves c as far past the float range.
+    c = TWO_PI * f1_hz / tangent if tangent else math.inf
     if not math.isfinite(c):
         raise OutOfRangeError(f"sample rate {fs_hz:g} Hz is too large: the bilinear "
                               "constant overflows")
@@ -134,15 +139,16 @@ def digital_response(dfilt: DigitalFilter, f_hz):
     return h if f.ndim else complex(h)
 
 
-def _scalar_log_mag(roots: np.ndarray, omega: float) -> float:
-    """ln prod |j omega - root| over real roots: P over the poles and Z over
-    the zeros, and the gain exp(P - Z) puts |H(j omega)| at one.
+def _log_mag(roots: np.ndarray, omega):
+    """ln prod |j omega - root| over the real roots on the last axis: P over
+    the poles and Z over the zeros, and the gain exp(P - Z) puts |H(j omega)|
+    at one.  A column of omegas levels each row of roots at its own.
 
     One-sided, unlike pole_zero_sum: rebuild keeps P fixed and recomputes
     only Z.  Over the golden grid the leveled log magnitude is within 1e-12
     of its target (see tests/test_digitize.py::TestLevelingPrecision).
     """
-    return 0.5 * float(np.log(omega * omega + roots * roots).sum())
+    return 0.5 * np.log(omega * omega + roots * roots).sum(axis=-1)
 
 
 def _prewarp_zeros(zeros_rad_s: np.ndarray, c: float, fs_hz: float) -> np.ndarray:
@@ -176,7 +182,7 @@ def _prewarped_roots(filt: AnalogFilter, c: float, fs_hz: float,
     if band.center_hz >= 0.5 * fs_hz:
         raise AboveNyquistError(f"band center {band.center_hz} Hz is not below fs/2")
     wc = -float(_prewarp(TWO_PI * band.center_hz, c, fs_hz))
-    gain = math.exp(_scalar_log_mag(prew_poles, wc) - _scalar_log_mag(prew_zeros, wc))
+    gain = math.exp(_log_mag(prew_poles, wc) - _log_mag(prew_zeros, wc))
     return prew_poles, prew_zeros, gain
 
 
@@ -190,7 +196,9 @@ def _numerators(prew_zeros: np.ndarray, c: float, dens: np.ndarray,
                 b0: np.ndarray, b1: np.ndarray) -> None:
     """Write each section's numerator into b0 and b1: the bilinear map of its
     prewarped zero over its denominator, and z=-1 for the sections past the
-    zeros.  The one numerator formula, for designs and rebuilds alike."""
+    zeros.  Sections run along the first axis: given dens as a column, a
+    column of zeros per slope fills a column of b0 and b1 each.  The one
+    numerator formula, for designs and rebuilds alike."""
     nz = len(prew_zeros)
     b0[:nz] = (c - prew_zeros) / dens[:nz]
     b1[:nz] = -(c + prew_zeros) / dens[:nz]
@@ -231,18 +239,49 @@ class ModulationContext:
 
     def _rebuild_into(self, alpha: float, b0: np.ndarray, b1: np.ndarray) -> float:
         """rebuild writing into b0 and b1, which may be the columns of a live
-        cascade; returns the gain."""
+        cascade; returns the gain.  A bad slope leaves b0 and b1 untouched."""
         alpha = float(alpha)
-        if not -1.0 <= alpha <= 1.0:
-            raise OutOfRangeError(f"alpha must lie in [-1, 1], got {alpha}")
+        anchor, pole_log_mag = self._edge_level(alpha)
         prew_zeros = _prewarp_zeros(_slide_zeros(self.zero_anchors, self.ratio, alpha),
                                     self.c, self.fs_hz)
         _numerators(prew_zeros, self.c, self.section_dens, b0, b1)
+        return math.exp(pole_log_mag - _log_mag(prew_zeros, anchor))
+
+    def _rebuild_rows(self, alphas):
+        """rebuild for each slope in ``alphas``, a group of slopes per call:
+        yields one (numerators, gain) per slope, in order, where numerators
+        is a (sections, 2) array holding rebuild(alpha)'s b0 and b1 as
+        columns, the layout of a cascade's numerator columns.  Each equals
+        rebuild's bit for bit: every step works elementwise, the slide takes
+        one Python float power per slope, and each slope's log-sum runs along
+        its own contiguous row, as rebuild's does.  Every slope is checked
+        before the first row; a group holds at most _BATCH_COEFFS
+        coefficients."""
+        alphas = [float(alpha) for alpha in alphas]
+        levels = [self._edge_level(alpha) for alpha in alphas]
+        sections = len(self.section_dens)
+        group = max(1, _BATCH_COEFFS // sections)
+        for i in range(0, len(alphas), group):
+            # One row of zeros per slope.
+            prew_zeros = _prewarp_zeros(
+                _slide_zeros(self.zero_anchors, self.ratio, alphas[i:i + group]),
+                self.c, self.fs_hz)
+            numerators = np.empty((sections, 2, len(prew_zeros)))
+            _numerators(prew_zeros.T, self.c, self.section_dens[:, None],
+                        numerators[:, 0], numerators[:, 1])
+            anchors = np.array([[anchor] for anchor, _ in levels[i:i + group]])
+            zero_log_mags = _log_mag(prew_zeros, anchors).tolist()
+            for j, (_, pole_log_mag) in enumerate(levels[i:i + group]):
+                yield numerators[..., j], math.exp(pole_log_mag - zero_log_mags[j])
+
+    def _edge_level(self, alpha: float) -> tuple[float, float]:
+        """(anchor omega, pole half P) of the louder band edge for a slope;
+        a slope outside [-1, 1] raises OutOfRangeError."""
+        if not -1.0 <= alpha <= 1.0:
+            raise OutOfRangeError(f"alpha must lie in [-1, 1], got {alpha}")
         if alpha < 0.0:
-            anchor, pole_log_mag = self.level_omega_low, self.pole_log_mag_low
-        else:
-            anchor, pole_log_mag = self.level_omega_high, self.pole_log_mag_high
-        return math.exp(pole_log_mag - _scalar_log_mag(prew_zeros, anchor))
+            return self.level_omega_low, self.pole_log_mag_low
+        return self.level_omega_high, self.pole_log_mag_high
 
 
 def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, ModulationContext]:
@@ -279,8 +318,8 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
         section_dens=section_dens,
         level_omega_low=level_low,
         level_omega_high=level_high,
-        pole_log_mag_low=_scalar_log_mag(prew_poles, level_low),
-        pole_log_mag_high=_scalar_log_mag(prew_poles, level_high),
+        pole_log_mag_low=float(_log_mag(prew_poles, level_low)),
+        pole_log_mag_high=float(_log_mag(prew_poles, level_high)),
     )
     sos = _first_order_sos(0.0, 0.0, a1)  # numerators written into its columns
     _numerators(prew_zeros, c, section_dens, sos[:, 0], sos[:, 1])

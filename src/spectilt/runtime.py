@@ -167,6 +167,26 @@ class StreamingFilter:
         self._gain = self._mod._rebuild_into(alpha, self._sos[:, 0], self._sos[:, 1])
 
 
+def _swept_blocks(filt: StreamingFilter, chunks, schedule, block: int):
+    """filt's output for each chunk of samples, with the slope set to
+    schedule(t) at the start of every ``block``-sample control block, t in
+    seconds from the first sample: the samples of set_alpha then process per
+    control block.  A chunk's slopes are rebuilt in batched calls and written
+    into the cascade block by block; process checks each block as before.
+    Every chunk but the last must hold whole control blocks."""
+    pos = 0
+    for x in chunks:
+        starts = range(0, len(x), block)
+        rows = filt._mod._rebuild_rows([schedule((pos + start) / filt._fs) for start in starts])
+        out = np.empty(len(x))
+        for start, (numerators, gain) in zip(starts, rows):
+            filt._sos[:, :2] = numerators
+            filt._gain = gain
+            out[start:start + block] = filt.process(x[start:start + block])
+        pos += len(x)
+        yield out
+
+
 def _noise_blocks(alpha: float, seed: int, n_samples: int, fs_hz: float,
                   band: BandSpec, block: int):
     """colored_noise's samples as filtered blocks of ``block`` samples, the

@@ -94,9 +94,16 @@ EXIT_2 = {
                  "sample rate 1e+200 Hz is too high to resolve the 4.06184 Hz break"),
     "order-5-skip-2": ("design --alpha 0.3 --order 5 --skip 2", "no interval left for the band"),
     "alpha=1.5": ("design --alpha 1.5", "alpha must lie in [-1, 1]"),
-    # The squares of the band center and of the lowest roots underflow to 0.
+    # f_min*f_max underflows to 0, so the band has no center to level at.
     "band-underflow": ("design --alpha -0.5 --order 4 --skip 1 --fmin 1e-200 --fmax 1e-180",
                        "band too low: at its center, 1e-190 Hz"),
+    # Here the center's square would not underflow, only the product.
+    "center-underflow": ("design --alpha -0.5 --order 4 --skip 0 --fmin 1.5e-162 "
+                         "--fmax 1.6e-162", "band too low: at its center, 1.55e-162 Hz"),
+    # Three integer-part poles far below a high band: the center's leveling
+    # gain passes the float range.
+    "gain-overflow": ("design --alpha 0 --order 2 --skip 0 --fmin 2.19e101 --fmax 2.96e106 "
+                      "--integer-part -3", "e^723.27, overflows float64"),
     # Rejected before the ladder is allocated: this order would need 72.8 TiB.
     "order=1e13": ("design --alpha -0.5 --order 10000000000000",
                    "order must be <= 10000, got n=10000000000000"),
@@ -104,6 +111,10 @@ EXIT_2 = {
     "bode-malformed": ("bode --design {x}", "missing fields: integer_part", b'{"alpha": 0.5}'),
     "digitize-fs=150": ("digitize --design {x} --fs 150", "band center 707.1", design_to_json(
         design_tilt(-0.5, f_min_hz=100.0, f_max_hz=5000.0)).encode()),
+    # tan(pi*f1/fs) underflows to 0 while f1 < fs/2 still holds.
+    "fs-tangent-underflow": ("digitize --design {x} --fs 9.24e300 -o {y}",
+                             "sample rate 9.24e+300 Hz is too large", design_to_json(design_tilt(
+                                 0.0, order=24, skip=11, f_min_hz=0.0139, f_max_hz=207.6)).encode()),
     "digitize-improper": ("digitize --design {x} --fs 48000", "more zeros than poles",
                           design_to_json(design_tilt(0.5, integer_part=1)).encode()),
     "orders=5:7-skips=2:2": ("sweep --alpha -0.5 --orders 5:7 --skips 2:2",
@@ -189,6 +200,8 @@ class TestDesignCommand:
     test_alpha_out_of_range_exits_2 = contract("alpha=1.5")
     test_order_past_bound_exits_2 = contract("order=1e13")
     test_underflowing_band_exits_2 = contract("band-underflow")
+    test_underflowing_center_exits_2 = contract("center-underflow")
+    test_overflowing_gain_exits_2 = contract("gain-overflow")
 
     def test_round_trip_is_exact(self, tmp_path, capsys):
         path = tmp_path / "d.json"
@@ -264,6 +277,7 @@ class TestDigitizeCommand:
 
     test_low_sample_rate_exits_2 = contract("digitize-fs=150")
     test_improper_design_exits_2 = contract("digitize-improper")
+    test_underflowing_tangent_exits_2 = contract("fs-tangent-underflow")
 
 
 def _edited_design(tmp_path, capsys, edit):
@@ -411,6 +425,11 @@ SWEPT_CASES = {
 class TestSweptApplyBytes:
     """apply --alpha-sweep writes exactly the bytes of set_alpha before
     every 64-sample block, however it reads and rebuilds."""
+
+    def test_reads_hold_whole_control_blocks(self):
+        from spectilt.cli import CONTROL_BLOCK
+
+        assert CONTROL_BLOCK == 64 and STREAM_CHUNK % CONTROL_BLOCK == 0
 
     @pytest.mark.parametrize("case", sorted(SWEPT_CASES))
     def test_file_bytes_equal_per_block_loop(self, tmp_path, capsys, case):

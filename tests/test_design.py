@@ -66,6 +66,19 @@ class TestBandSpec:
         band = BandSpec(20.0, 20000.0)
         assert band.center_hz == pytest.approx(math.sqrt(20.0 * 20000.0), rel=1e-15)
 
+    @pytest.mark.parametrize("f_min, f_max", [(1.5e-162, 1.6e-162), (1e-160, 1e-150)],
+                             ids=["product-0", "product-subnormal"])
+    def test_center_of_underflowing_band_rejected(self, f_min, f_max):
+        # The band itself is valid; only its center, which would lose bits
+        # or be 0, is refused.
+        band = BandSpec(f_min, f_max)
+        with pytest.raises(InvalidBandError, match="band too low"):
+            band.center_hz
+
+    def test_center_at_smallest_normal_product(self):
+        band = BandSpec(1e-154, 3e-154)
+        assert band.center_hz == math.sqrt(1e-154 * 3e-154) > 0.0
+
 
 class TestPlacement:
     def test_two_pole_band_edges(self):
@@ -340,10 +353,12 @@ class TestNormalizeGain:
     @pytest.mark.parametrize("order, skip, f_min, f_max, integer_part, center", [
         (4, 1, 1e-200, 1e-180, -1, "1e-190"),
         (21, 3, 5e-318, 5e-290, 0, "5e-304"),
+        (4, 0, 1.5e-162, 1.6e-162, 0, "1.55e-162"),
     ])
     def test_underflowing_band_named(self, order, skip, f_min, f_max, integer_part, center):
-        # The squares of the band center and of a root underflow to 0, so the
-        # gain's log has no value: the band is named, not a bare math error.
+        # f_min*f_max underflows to 0, so the band center has no value: the
+        # band is named, not a bare math error, nor leveled at DC as the last
+        # row, whose squared center alone would not underflow, once was.
         # normalize_gain on the same ladder names it the same way.
         match = f"band too low: at its center, {center} Hz"
         with pytest.raises(InvalidBandError, match=match):
@@ -354,6 +369,14 @@ class TestNormalizeGain:
                                     order)
         with pytest.raises(InvalidBandError, match=match):
             normalize_gain(ladder, band)
+
+
+    def test_overflowing_gain_named(self):
+        # Three integer-part poles far below a high band: the center level
+        # needs a gain of e^723, past the float range.
+        with pytest.raises(OutOfRangeError, match=r"e\^723.27, overflows float64"):
+            design_tilt(0.0, order=2, skip=0, f_min_hz=2.19e101, f_max_hz=2.96e106,
+                        integer_part=-3)
 
 
 class TestFloatList:

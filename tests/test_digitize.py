@@ -24,11 +24,13 @@ from spectilt import (
     save_coefficients,
 )
 from spectilt.bode import freq_response
+from spectilt.design import _slide_zeros
 from spectilt.digitize import (
     ZERO_CLAMP_FRACTION,
     _first_order_sos,
     _margin_rule_count,
     _prewarp,
+    _prewarp_zeros,
     _prewarped_roots,
     coefficients_from_json,
     prewarp_constant,
@@ -96,6 +98,11 @@ class TestPrewarpConstant:
                 prewarp_constant(1000.0, fs)
         with pytest.raises(OutOfRangeError, match="finite"):
             prewarp_constant(1000.0, math.inf)
+
+    def test_underflowing_tangent_is_too_large_a_rate(self):
+        # pi*f1/fs, and so tan, underflows to 0 while f1 < fs/2 holds.
+        with pytest.raises(OutOfRangeError, match="9.24e.300 Hz is too large"):
+            prewarp_constant(1.6852982200871556e-48, 9.24e300)
 
 
 class TestPrewarpBreak:
@@ -382,6 +389,48 @@ class TestModulationContext:
         expected_b0, expected_b1 = design_numerators(design_tilt(beta), fs)
         assert np.array_equal(b0, expected_b0)
         assert np.array_equal(b1, expected_b1)
+
+    @staticmethod
+    def assert_rows_are_rebuilds(ctx, alphas):
+        rows = list(ctx._rebuild_rows(alphas))
+        assert len(rows) == len(alphas)
+        for alpha, (numerators, gain) in zip(alphas, rows):
+            b0, b1, expected_gain = ctx.rebuild(alpha)
+            assert np.array_equal(numerators[:, 0], b0)
+            assert np.array_equal(numerators[:, 1], b1)
+            assert gain == expected_gain
+        return rows
+
+    def test_batched_rows_are_rebuilds_over_the_grid(self):
+        # Slide factors 1 and r**-1, r as the edge level switches, in one batch.
+        for fs in SAMPLE_RATES:
+            for design in grid_designs():
+                _, ctx = digitize_design(design, fs)
+                self.assert_rows_are_rebuilds(ctx, [-1.0, 0.0, 1.0, -0.0, -0.37, 0.5])
+
+    def test_batched_rows_are_rebuilds_through_the_clamp(self):
+        # The stock design's top zero clamps below fs/2 at 48 kHz from
+        # alpha = -1 up past -0.5; one 64 Ki-sample read's 1024 slopes.
+        _, ctx = digitize_design(design_tilt(-0.5), 48000.0)
+        top = _prewarp_zeros(_slide_zeros(ctx.zero_anchors, ctx.ratio, -0.5), ctx.c, 48000.0)[-1]
+        assert top == -TWO_PI * ZERO_CLAMP_FRACTION * 48000.0
+        self.assert_rows_are_rebuilds(ctx, np.linspace(-1.0, 1.0, 1024).tolist())
+
+    def test_batched_rows_come_in_capped_groups(self):
+        # 2000 sections: 32 slopes per group, so 70 slopes take three groups.
+        _, ctx = digitize_design(design_tilt(0.2, order=2000), 48000.0)
+        assert len(ctx.section_dens) == 2000
+        rows = self.assert_rows_are_rebuilds(ctx, np.linspace(0.9, -0.9, 70).tolist())
+        groups = {id(numerators.base) for numerators, _ in rows}
+        assert len(groups) == 3
+        assert rows[0][0].base.shape == (2000, 2, 32)
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0000000000000002, math.nan])
+    def test_batched_rows_check_every_slope_first(self, default_design, bad):
+        _, ctx = digitize_design(default_design, 48000.0)
+        rows = ctx._rebuild_rows([0.5, bad])
+        with pytest.raises(OutOfRangeError, match=r"alpha must lie in \[-1, 1\]"):
+            next(rows)
 
     def test_denominators_never_rebuilt(self, default_design):
         _, ctx = digitize_design(default_design, 48000.0)
