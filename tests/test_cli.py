@@ -457,6 +457,46 @@ class TestSweptApplyBytes:
         assert xout.read_bytes() == _swept_reference(design, fs, x, sweep)
 
 
+def _per_chunk_reference(filt, chunks) -> bytes:
+    """The streamed bytes as a plain loop: process on each chunk in turn."""
+    return np.concatenate([filt.process(x) for x in chunks]).astype("<f8").tobytes()
+
+
+# Three whole 64 Ki-sample reads and a tail that ends mid-chunk.
+CHUNKED = 3 * STREAM_CHUNK + 17
+
+
+class TestStaticApplyBytes:
+    """apply --coeffs writes exactly the bytes of process on each 64 Ki-sample
+    chunk, however it holds the samples."""
+
+    def _expected(self, x):
+        from spectilt.runtime import StreamingFilter
+
+        filt = StreamingFilter(digitize_design(STOCK, 48000.0)[0])
+        return _per_chunk_reference(
+            filt, (x[i:i + STREAM_CHUNK] for i in range(0, len(x), STREAM_CHUNK)))
+
+    def test_file_bytes_equal_per_chunk_loop(self, tmp_path, capsys):
+        x = np.random.default_rng(CHUNKED).standard_normal(CHUNKED)
+        cpath, xin, xout = tmp_path / "c.json", tmp_path / "in.raw", tmp_path / "out.raw"
+        cpath.write_text(STOCK_COEFFS)
+        x.astype("<f8").tofile(xin)
+        code, _, err = run(capsys, "apply", "--coeffs", str(cpath), "-i", str(xin),
+                           "-o", str(xout))
+        assert code == 0, err
+        assert xout.read_bytes() == self._expected(x)
+
+    def test_stdin_bytes_equal_per_chunk_loop(self, tmp_path, capsys, monkeypatch):
+        x = np.random.default_rng(CHUNKED).standard_normal(CHUNKED)
+        cpath, xout = tmp_path / "c.json", tmp_path / "out.raw"
+        cpath.write_text(STOCK_COEFFS)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(x.astype("<f8").tobytes())))
+        code, _, err = run(capsys, "apply", "--coeffs", str(cpath), "-o", str(xout))
+        assert code == 0, err
+        assert xout.read_bytes() == self._expected(x)
+
+
 class TestNoiseCommand:
     def test_deterministic_bytes(self, tmp_path, capsys):
         a = tmp_path / "a.raw"
@@ -484,6 +524,19 @@ class TestNoiseCommand:
         expected = colored_noise(-0.3, seed=5, n_samples=n, fs_hz=44100.0,
                                  band=BandSpec(30.0, 20000.0))
         assert path.read_bytes() == expected.astype("<f8").tobytes()
+
+    def test_streamed_bytes_equal_per_chunk_loop(self, tmp_path, capsys):
+        from spectilt.runtime import GaussianSource, StreamingFilter
+
+        path = tmp_path / "n.raw"
+        code, _, _ = run(capsys, "noise", "--color", "0.4", "--samples", str(CHUNKED),
+                         "--seed", "12", "--fs", "96000", "-o", str(path))
+        assert code == 0
+        filt = StreamingFilter.for_design(design_tilt(0.4), 96000.0)
+        source = GaussianSource(12)
+        chunks = (source.block(min(STREAM_CHUNK, CHUNKED - i))
+                  for i in range(0, CHUNKED, STREAM_CHUNK))
+        assert path.read_bytes() == _per_chunk_reference(filt, chunks)
 
     test_no_samples_exits_2_with_no_output = contract("samples=0", "samples=-5", ids=["0", "-5"])
 

@@ -26,6 +26,7 @@ from spectilt import (
 from spectilt.bode import freq_response
 from spectilt.design import _slide_zeros
 from spectilt.digitize import (
+    _BATCH_COEFFS,
     ZERO_CLAMP_FRACTION,
     _first_order_sos,
     _margin_rule_count,
@@ -417,13 +418,18 @@ class TestModulationContext:
         self.assert_rows_are_rebuilds(ctx, np.linspace(-1.0, 1.0, 1024).tolist())
 
     def test_batched_rows_come_in_capped_groups(self):
-        # 2000 sections: 32 slopes per group, so 70 slopes take three groups.
+        # 2000 sections: _BATCH_COEFFS // 2000 slopes per group, so two
+        # groups' worth of slopes and one more take three groups.
         _, ctx = digitize_design(design_tilt(0.2, order=2000), 48000.0)
-        assert len(ctx.section_dens) == 2000
-        rows = self.assert_rows_are_rebuilds(ctx, np.linspace(0.9, -0.9, 70).tolist())
+        sections = len(ctx.section_dens)
+        assert sections == 2000
+        group = _BATCH_COEFFS // sections
+        assert group * sections <= _BATCH_COEFFS < (group + 1) * sections
+        alphas = np.linspace(0.9, -0.9, 2 * group + 1).tolist()
+        rows = self.assert_rows_are_rebuilds(ctx, alphas)
         groups = {id(numerators.base) for numerators, _ in rows}
         assert len(groups) == 3
-        assert rows[0][0].base.shape == (2000, 2, 32)
+        assert rows[0][0].base.shape == (sections, 2, group)
 
     @pytest.mark.parametrize("bad", [1.5, -1.0000000000000002, math.nan])
     def test_batched_rows_check_every_slope_first(self, default_design, bad):

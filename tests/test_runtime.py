@@ -111,6 +111,14 @@ class TestProcess:
         filt = StreamingFilter.for_design(default_design, 48000.0)
         assert filt.process(np.array([])).size == 0
 
+    def test_returns_a_new_array_and_leaves_the_input(self, default_design):
+        filt = StreamingFilter.for_design(default_design, 48000.0)
+        x = GaussianSource(8).block(1000)
+        before = x.copy()
+        y = filt.process(x)
+        assert not np.shares_memory(x, y)
+        assert np.array_equal(x, before)
+
 
 def _per_section_lfilter(dfilt, x):
     """The cascade as one lfilter recursion per section, gain applied last."""
@@ -238,6 +246,14 @@ class TestNoise:
     def test_band_argument(self):
         x = pink_noise(seed=1, n_samples=1024, fs_hz=8000.0, band=BandSpec(10.0, 3000.0))
         assert np.all(np.isfinite(x))
+
+    def test_successive_calls_return_independent_arrays(self):
+        a = colored_noise(-0.5, seed=4, n_samples=4096, fs_hz=48000.0)
+        b = colored_noise(-0.5, seed=4, n_samples=4096, fs_hz=48000.0)
+        assert not np.shares_memory(a, b)
+        expected = b.copy()
+        a[:] = 0.0
+        assert np.array_equal(b, expected)
 
     def test_needs_samples(self):
         with pytest.raises(OutOfRangeError):
