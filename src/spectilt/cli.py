@@ -112,20 +112,25 @@ def cmd_digitize(args) -> int:
 
 
 def _read_blocks(fh_in, block: int):
-    """Raw little-endian float64 samples from fh_in, read ``block`` at a time;
-    a stream that ends in a partial sample raises StreamFormatError."""
+    """Raw little-endian float64 samples from fh_in, read ``block`` at a time
+    into one reused buffer.  Each block is a writable view of that buffer,
+    valid only until the next block is requested: finish with it first.  A
+    stream that ends in a partial sample raises StreamFormatError."""
+    buffer = np.empty(block, dtype="<f8")
     n_bytes = 0
-    while raw := fh_in.read(block * 8):
-        n_bytes += len(raw)
-        if len(raw) % 8:
+    while n := fh_in.readinto(buffer):
+        n_bytes += n
+        if n % 8:
             raise StreamFormatError(f"input holds {n_bytes} bytes, which ends in a partial "
                                     "sample: raw streams are whole 8-byte float64 values")
-        yield np.frombuffer(raw, dtype="<f8")
+        # A copy in native order on a big-endian host only.
+        yield buffer[:n // 8].astype(np.float64, copy=False)
 
 
 def _write_blocks(fh_out, blocks) -> None:
     """Write each block as raw little-endian float64 (no copy for blocks
-    already in that form), then flush."""
+    already in that form), then flush.  Each block is written before the
+    next is requested, so the blocks may be views of one reused buffer."""
     for samples in blocks:
         fh_out.write(np.ascontiguousarray(samples, dtype="<f8").data)
     fh_out.flush()
@@ -189,7 +194,7 @@ def cmd_apply(args) -> int:
         _check_input_file(fh_in)
         chunks = _read_blocks(fh_in, STREAM_CHUNK)
         if schedule is None:
-            blocks = map(filt.process, chunks)
+            blocks = map(filt._process_in_place, chunks)
         else:
             blocks = _swept_blocks(filt, chunks, schedule, CONTROL_BLOCK)
         with _open_stream(args.output, "wb") as fh_out:

@@ -37,8 +37,10 @@ from .serialize import REAL_FORMAT, emit_object, f17, parse_object, real
 # Prewarped zero breaks at or above fs/2 are pinned to this fraction of fs.
 ZERO_CLAMP_FRACTION = 0.499
 # Coefficients one group of a batched rebuild holds, whatever the order: an
-# order-10 000 design rebuilds a few slopes per group, not a 1024-row array.
-_BATCH_COEFFS = 1 << 16
+# order-10 000 design rebuilds one slope per group, not a 1024-row array.  A
+# group's temporaries also set the peak memory of apply --alpha-sweep; the
+# stock 16 sections take 256 slopes per group.
+_BATCH_COEFFS = 1 << 12
 
 
 def prewarp_constant(f1_hz: float, fs_hz: float) -> float:

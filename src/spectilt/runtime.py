@@ -144,18 +144,22 @@ class StreamingFilter:
         """Run one block through the cascade; gain is applied once per block.
 
         Output is independent of how the input is chunked: section states
-        carry the recursion across calls exactly.
+        carry the recursion across calls exactly.  The result is a new
+        array; the input is left as it was.
         """
         x = np.asarray(block, dtype=np.float64)
         if x.ndim != 1:
             raise ValueError("expected a one-dimensional block of samples")
         if x.size == 0:
             return x.copy()
-        if not np.isfinite(x).all():
+        return self._process_in_place(x.copy())
+
+    def _process_in_place(self, y: np.ndarray) -> np.ndarray:
+        """process on y, a non-empty, contiguous, one-dimensional float64
+        block, written over y; returns y."""
+        if not np.isfinite(y).all():
             raise ValueError("input block contains NaN or Inf")
-        y = np.array(x, ndmin=2)
-        _cascade(self._sos, y, self._state)
-        y = y[0]
+        _cascade(self._sos, y[None], self._state)
         y *= self._gain
         return y
 
@@ -168,37 +172,41 @@ class StreamingFilter:
 
 
 def _swept_blocks(filt: StreamingFilter, chunks, schedule, block: int):
-    """filt's output for each chunk of samples, with the slope set to
-    schedule(t) at the start of every ``block``-sample control block, t in
-    seconds from the first sample: the samples of set_alpha then process per
-    control block.  A chunk's slopes are rebuilt in batched calls and written
-    into the cascade block by block; process checks each block as before.
-    Every chunk but the last must hold whole control blocks."""
+    """filt's output for each chunk of samples, written over the chunk, with
+    the slope set to schedule(t) at the start of every ``block``-sample
+    control block, t in seconds from the first sample: the samples of
+    set_alpha then process per control block.  A chunk's slopes are rebuilt
+    in batched calls and written into the cascade block by block; each block
+    is checked as process checks it.  Every chunk but the last must hold
+    whole control blocks."""
     pos = 0
     for x in chunks:
         starts = range(0, len(x), block)
         rows = filt._mod._rebuild_rows([schedule((pos + start) / filt._fs) for start in starts])
-        out = np.empty(len(x))
         for start, (numerators, gain) in zip(starts, rows):
             filt._sos[:, :2] = numerators
             filt._gain = gain
-            out[start:start + block] = filt.process(x[start:start + block])
+            filt._process_in_place(x[start:start + block])
         pos += len(x)
-        yield out
+        yield x
 
 
 def _noise_blocks(alpha: float, seed: int, n_samples: int, fs_hz: float,
                   band: BandSpec, block: int):
     """colored_noise's samples as filtered blocks of ``block`` samples, the
     last one shorter if need be.  Every argument is checked and the filter
-    built before this returns; the blocks are drawn as they are consumed."""
+    built before this returns; the blocks are drawn as they are consumed,
+    each into one reused buffer and filtered there, so a block is valid only
+    until the next one is requested."""
     n = int(n_samples)
     if n < 1:
         raise OutOfRangeError(f"need at least one sample, got {n_samples}")
     design = design_tilt(alpha, f_min_hz=band.f_min_hz, f_max_hz=band.f_max_hz)
     filt = StreamingFilter.for_design(design, fs_hz)
-    source = GaussianSource(seed)
-    return (filt.process(source.block(min(block, n - i))) for i in range(0, n, block))
+    rng = GaussianSource(seed)._rng
+    buffer = np.empty(min(block, n))
+    return (filt._process_in_place(rng.standard_normal(out=buffer[:min(block, n - i)]))
+            for i in range(0, n, block))
 
 
 def colored_noise(
