@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import stat
 import sys
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .bode import DEFAULT_POINTS_PER_INTERVAL, slope_report, write_report_csv
-from .design import BandSpec, _design_record, design_tilt, design_to_json, load_design
+from .design import (MAX_ORDER, BandSpec, _design_record, design_tilt, design_to_json,
+                     load_design)
 from .digitize import coefficients_to_json, digitize_design, load_coefficients
 from .errors import FilterDesignError, OutOfRangeError, StreamFormatError
 
@@ -163,8 +165,8 @@ def _parse_sweep(text: str):
     for end in (a0, a1):
         if not -1.0 <= end <= 1.0:
             raise OutOfRangeError(f"--alpha-sweep endpoints must lie in [-1, 1], got {end}")
-    if not seconds > 0.0:
-        raise FilterDesignError("sweep duration must be positive")
+    if not 0.0 < seconds < math.inf:
+        raise FilterDesignError("sweep duration must be positive and finite")
 
     def schedule(t: float) -> float:
         return a0 + (a1 - a0) * min(t / seconds, 1.0)
@@ -215,6 +217,9 @@ def cmd_noise(args) -> int:
 def cmd_sweep(args) -> int:
     orders = _parse_range(args.orders, "--orders")
     skips = _parse_range(args.skips, "--skips")
+    # Checked before the first cell, not at the first cell past the bound.
+    if orders[-1] > MAX_ORDER:
+        raise OutOfRangeError(f"order must be <= {MAX_ORDER}, got n={orders[-1]}")
     # Every cell is solved and graded before the header goes out, so a bad
     # input exits with empty stdout.
     rows = ["n,k,max_abs_slope_error\n"]

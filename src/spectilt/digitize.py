@@ -241,13 +241,15 @@ class ModulationContext:
 
     def _rebuild_into(self, alpha: float, b0: np.ndarray, b1: np.ndarray) -> float:
         """rebuild writing into b0 and b1, which may be the columns of a live
-        cascade; returns the gain.  A bad slope leaves b0 and b1 untouched."""
+        cascade; returns the gain.  A bad slope, or a gain past the float
+        range (OutOfRangeError), leaves b0 and b1 untouched."""
         alpha = float(alpha)
         anchor, pole_log_mag = self._edge_level(alpha)
         prew_zeros = _prewarp_zeros(_slide_zeros(self.zero_anchors, self.ratio, alpha),
                                     self.c, self.fs_hz)
+        gain = _edge_gain(pole_log_mag - _log_mag(prew_zeros, anchor))
         _numerators(prew_zeros, self.c, self.section_dens, b0, b1)
-        return math.exp(pole_log_mag - _log_mag(prew_zeros, anchor))
+        return gain
 
     def _rebuild_rows(self, alphas):
         """rebuild for each slope in ``alphas``, a group of slopes per call:
@@ -274,7 +276,7 @@ class ModulationContext:
             anchors = np.array([[anchor] for anchor, _ in levels[i:i + group]])
             zero_log_mags = _log_mag(prew_zeros, anchors).tolist()
             for j, (_, pole_log_mag) in enumerate(levels[i:i + group]):
-                yield numerators[..., j], math.exp(pole_log_mag - zero_log_mags[j])
+                yield numerators[..., j], _edge_gain(pole_log_mag - zero_log_mags[j])
 
     def _edge_level(self, alpha: float) -> tuple[float, float]:
         """(anchor omega, pole half P) of the louder band edge for a slope;
@@ -284,6 +286,16 @@ class ModulationContext:
         if alpha < 0.0:
             return self.level_omega_low, self.pole_log_mag_low
         return self.level_omega_high, self.pole_log_mag_high
+
+
+def _edge_gain(log_gain: float) -> float:
+    """exp(log_gain), a stream's gain; past the float range it raises
+    OutOfRangeError."""
+    try:
+        return math.exp(log_gain)
+    except OverflowError:
+        raise OutOfRangeError(f"the gain that levels the louder band edge at unity, "
+                              f"e^{log_gain:.5g}, overflows float64") from None
 
 
 def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, ModulationContext]:

@@ -53,7 +53,11 @@ WIDE = "design --alpha -0.5 --order 3 --skip 0 --fmin 1 --fmax "
 LONG = _raw(70000)  # past one 64 Ki-sample read, and past alpha = 1 on -0.5:2:0.5
 LATE_NAN = _raw(70000, nan_at=66000)
 GRID = "sweep --alpha -0.5 --orders 8:10:2 --skips 0:1"
-BAD_SWEEPS = ["-0.5:2:0.5", "-1.5:0:0.5", "nan:0:0.5", "0:1:nan"]
+BAD_SWEEPS = ["-0.5:2:0.5", "-1.5:0:0.5", "nan:0:0.5", "0:1:nan", "-0.5:0.5:inf"]
+# design --alpha 0 --order 2 --skip 0 --fmin 1e96 --fmax 1e106 --integer-part -3:
+# its center gain fits a float, but at 3e106 Hz its louder edge's does not.
+HUGE_BAND = design_to_json(design_tilt(0.0, order=2, skip=0, f_min_hz=1e96, f_max_hz=1e106,
+                                       integer_part=-3)).encode()
 
 # Each row is an argv that must exit 2 with one "spectilt:" line holding the
 # message, no stdout bytes and no output file.  In argv, {d} is the stock
@@ -79,8 +83,13 @@ EXIT_2 = {
     "sweep-without-design": (APPLY + " --alpha-sweep=-1:1:0.1", "needs --design"),
     **{f"sweep={sweep}": (SWEPT + sweep, message, LONG) for sweep, message in zip(
         BAD_SWEEPS, ["[-1, 1], got 2.0", "[-1, 1], got -1.5", "[-1, 1], got nan",
-                     "duration must be positive"])},
+                     "duration must be positive", "duration must be positive and finite"])},
     "sweep=0:1": (SWEPT + "0:1", "must look like a0:a1:seconds"),
+    # The filter is built before any input is read, so the coefficient file
+    # stands in for the samples.
+    "edge-gain-overflow": ("apply --design {x} --fs 3e106 -i {c} -o {y}",
+                           "levels the louder band edge at unity, e^739.29, overflows float64",
+                           HUGE_BAND),
     "samples=0": ("noise --samples 0 -o {y}", "need at least one sample, got 0"),
     "samples=-5": ("noise --samples -5 -o {y}", "need at least one sample, got -5"),
     "digitize-fs=inf": ("digitize --design {d} -o {y} --fs inf", INF_FS),
@@ -125,6 +134,8 @@ EXIT_2 = {
     "sweep-fmin=fmax": (GRID + " --fmin 20 --fmax 20", "need 0 < f_min < f_max"),
     "orders=1:2:3:4": ("sweep --alpha -0.5 --orders 1:2:3:4", "must look like start:stop[:step]"),
     "orders=4:2": ("sweep --alpha -0.5 --orders 4:2", "'4:2' is empty or descending"),
+    "orders=8:20000": ("sweep --alpha -0.5 --orders 8:20000",
+                       "order must be <= 10000, got n=20000"),
 }
 
 
@@ -319,6 +330,7 @@ class TestApplyCommand:
     test_bad_sweep_exits_2_before_output = contract(
         *(f"sweep={s}" for s in BAD_SWEEPS), ids=BAD_SWEEPS)
     test_partial_sample_file_exits_2_before_output = contract("partial-file")
+    test_edge_gain_overflow_exits_2_before_output = contract("edge-gain-overflow")
     test_late_nan_file_exits_2_before_output = contract(
         "late-nan-coeffs", "late-nan-design", ids=["coeffs", "design"])
 
@@ -547,6 +559,17 @@ class TestInfiniteSampleRate:
 
 
 class TestSweepCommand:
+    def test_orders_past_max_order_exit_2_before_any_design(self, tmp_path, capsys,
+                                                            monkeypatch):
+        import spectilt.cli
+
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell was solved before the ranges were checked")
+
+        monkeypatch.setattr(spectilt.cli, "design_tilt", no_cell)
+        monkeypatch.setattr(spectilt.cli, "slope_report", no_cell)
+        check_exit_2(tmp_path, capsys, "orders=8:20000")
+
     def test_table_structure_and_order(self, capsys):
         code, out, _ = run(capsys, "sweep", "--alpha", "-0.5",
                            "--orders", "10:14:2", "--skips", "0:1")

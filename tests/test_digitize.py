@@ -438,6 +438,18 @@ class TestModulationContext:
         with pytest.raises(OutOfRangeError, match=r"alpha must lie in \[-1, 1\]"):
             next(rows)
 
+    def test_edge_gain_overflow_named(self):
+        # The center gain of this band fits a float; its louder edge's does not.
+        design = design_tilt(0.0, order=2, skip=0, f_min_hz=1e96, f_max_hz=1e106,
+                             integer_part=-3)
+        dfilt, ctx = digitize_design(design, 3e106)
+        b0, b1 = dfilt.sos[:, 0].copy(), dfilt.sos[:, 1].copy()
+        with pytest.raises(OutOfRangeError, match=r"louder band edge at unity, e\^739.29"):
+            ctx._rebuild_into(0.0, b0, b1)
+        assert np.array_equal(b0, dfilt.sos[:, 0]) and np.array_equal(b1, dfilt.sos[:, 1])
+        with pytest.raises(OutOfRangeError, match=r"louder band edge at unity, e\^739.29"):
+            next(ctx._rebuild_rows([0.0]))
+
     def test_denominators_never_rebuilt(self, default_design):
         _, ctx = digitize_design(default_design, 48000.0)
         dens_before = ctx.section_dens.copy()
