@@ -424,7 +424,6 @@ class TestModulationContext:
         sections = len(ctx.section_dens)
         assert sections == 2000
         group = _BATCH_COEFFS // sections
-        assert group * sections <= _BATCH_COEFFS < (group + 1) * sections
         alphas = np.linspace(0.9, -0.9, 2 * group + 1).tolist()
         rows = self.assert_rows_are_rebuilds(ctx, alphas)
         groups = {id(numerators.base) for numerators, _ in rows}
