@@ -2,7 +2,7 @@
 """Run perfbench and write the next BENCH_<n>.json: a record, or a claim's pairs.
 
     python3 scripts/bench.py
-    python3 scripts/bench.py --against REV [--pairs N] [--first-seed S] [--workload NAME ...]
+    python3 scripts/bench.py --against REV
 
 From the checkout that holds this script, it runs ``perfbench/run.py`` as it
 stands, with the window length of ``BENCHMARK.json``, one process at a time.
@@ -22,17 +22,17 @@ With ``--against REV`` it measures a claim.  REV is checked out with ``git
 worktree add --detach`` into a temporary directory, and this checkout's
 ``perfbench/run.py`` runs with the working directory at each tree in turn
 (run.py imports ``src/spectilt`` from there), so one benchmark measures both
-sides.  Pair i runs seed S+i-1 at ``--trace 0``, REV first on odd pairs and
-this checkout first on even ones.  Before and after each run a fixed
+sides.  Every workload runs PAIRS pairs, pair i on seed S+i-1 at ``--trace
+0``, REV first on odd pairs and this checkout first on even ones; S is a
+fresh random seed, recorded in the file.  Before and after each run a fixed
 pure-Python kernel is timed, which imports neither spectilt nor numpy, so
 that a reader can tell a slow spell of the machine from a regression.  The
 file holds every pair's runs and, per workload and end-to-end metric, each
 side's median and quartiles, the pairs the change won (ties count for
 neither side), the gap between the medians, the parent's interquartile
-range and the verdict: "met" when at least ten pairs ran, the change won at
-least nine in ten of them, and its median is better than the parent's by
-more than the parent's interquartile range.  The worktree is removed at the
-end.
+range and the verdict: "met" when the change won at least nine in ten of
+the pairs and its median is better than the parent's by more than the
+parent's interquartile range.  The worktree is removed at the end.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from importlib.metadata import version
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (101, 202, 303)
 WORKLOADS = ("design-grade", "stream-static", "stream-modulated")
+PAIRS = 10
 CONTROL_REPEATS = 5
 
 
@@ -132,19 +133,19 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
     p, c = summary(parent), summary(change)
     gain = sign * (p["median"] - c["median"])
     iqr = p["q3"] - p["q1"]
-    met = len(parent) >= 10 and 10 * won >= 9 * len(parent) and gain > iqr
+    met = 10 * won >= 9 * len(parent) and gain > iqr
     return {"won": won, "lost": lost, "pairs": len(parent),
             "median_gap": c["median"] - p["median"], "parent_iqr": iqr,
             "verdict": "met" if met else "not met", "parent": p, "change": c}
 
 
-def measure_pairs(tree: str, workloads, pairs: int, first_seed: int, seconds: float) -> dict:
+def measure_pairs(tree: str, first_seed: int, seconds: float) -> dict:
     """Alternating parent/change runs of each workload, and their verdicts."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    seeds = [first_seed + i for i in range(pairs)]
+    seeds = [first_seed + i for i in range(PAIRS)]
     out = {"seeds": seeds, "workloads": {}}
-    for workload in workloads:
+    for workload in WORKLOADS:
         rows = []
         for i, seed in enumerate(seeds):
             row = {"seed": seed, "first": "parent" if i % 2 == 0 else "change"}
@@ -169,14 +170,16 @@ def measure_pairs(tree: str, workloads, pairs: int, first_seed: int, seconds: fl
     return out
 
 
-def against(rev: str, workloads, pairs: int, first_seed: int, seconds: float) -> dict:
-    """measure_pairs with REV checked out in a temporary worktree."""
+def against(rev: str, seconds: float) -> dict:
+    """measure_pairs with REV checked out in a temporary worktree, from a
+    fresh random seed."""
+    first_seed = secrets.randbelow(1 << 30)
     commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
     scratch = tempfile.mkdtemp(prefix="bench-against-")
     tree = os.path.join(scratch, "tree")
     git("worktree", "add", "--detach", tree, commit)
     try:
-        out = measure_pairs(tree, workloads, pairs, first_seed, seconds)
+        out = measure_pairs(tree, first_seed, seconds)
     finally:
         git("worktree", "remove", "--force", tree)
         shutil.rmtree(scratch, ignore_errors=True)
@@ -187,16 +190,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV",
                         help="measure this checkout against REV in alternating pairs")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
-    parser.add_argument("--first-seed", type=int, default=None,
-                        help="seed of the first pair (default: a fresh random seed)")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="workload to pair (repeatable; default all three)")
     args = parser.parse_args(argv)
-    if args.against is None and (args.workload or args.first_seed is not None):
-        parser.error("--workload and --first-seed need --against")
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         seconds = json.load(fh)["run_seconds"]
@@ -209,13 +203,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
     }
     try:
-        if args.against is None:
-            out.update(record(seconds))
-        else:
-            first_seed = (secrets.randbelow(1 << 30) if args.first_seed is None
-                          else args.first_seed)
-            out.update(against(args.against, args.workload or WORKLOADS, args.pairs,
-                               first_seed, seconds))
+        out.update(record(seconds) if args.against is None else against(args.against, seconds))
     except (RuntimeError, ValueError, KeyError, subprocess.CalledProcessError) as exc:
         print(f"bench: {exc}; nothing written", file=sys.stderr)
         return 1
