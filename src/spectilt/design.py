@@ -311,11 +311,18 @@ def _center_gain(poles: np.ndarray, zeros: np.ndarray, band: BandSpec) -> float:
     wc = TWO_PI * band.center_hz
     wc2 = wc * wc
     log_mag = pole_zero_sum(poles, zeros, lambda root: 0.5 * math.log(wc2 + root * root), 0.0)
+    return _leveling_gain(-log_mag, "band center")
+
+
+def _leveling_gain(log_gain: float, where: str) -> float:
+    """exp(log_gain), the gain that puts |H| at 1 at ``where``: the band
+    center of a design or coefficient file, or a stream's louder band edge.
+    Past the float range it raises OutOfRangeError."""
     try:
-        return math.exp(-log_mag)
+        return math.exp(log_gain)
     except OverflowError:
-        raise OutOfRangeError(f"the gain that levels the band center at unity, "
-                              f"e^{-log_mag:.5g}, overflows float64") from None
+        raise OutOfRangeError(f"the gain that levels the {where} at unity, "
+                              f"e^{log_gain:.5g}, overflows float64") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import TWO_PI, AnalogFilter, BandSpec, TiltDesign, _slide_zeros, value_eq
+from .design import (
+    TWO_PI,
+    AnalogFilter,
+    BandSpec,
+    TiltDesign,
+    _leveling_gain,
+    _slide_zeros,
+    value_eq,
+)
 from .errors import (
     AboveNyquistError,
     EmptyDesignError,
@@ -36,6 +44,8 @@ from .serialize import REAL_FORMAT, emit_object, f17, parse_object, real
 
 # Prewarped zero breaks at or above fs/2 are pinned to this fraction of fs.
 ZERO_CLAMP_FRACTION = 0.499
+# Where a stream's gain puts |H| at unity (see ModulationContext).
+_EDGE = "louder band edge"
 # Coefficients one group of a batched rebuild holds, whatever the order: an
 # order-10 000 design rebuilds one slope per group, not a 1024-row array.  A
 # group's temporaries also set the peak memory of apply --alpha-sweep; the
@@ -247,7 +257,7 @@ class ModulationContext:
         anchor, pole_log_mag = self._edge_level(alpha)
         prew_zeros = _prewarp_zeros(_slide_zeros(self.zero_anchors, self.ratio, alpha),
                                     self.c, self.fs_hz)
-        gain = _edge_gain(pole_log_mag - _log_mag(prew_zeros, anchor))
+        gain = _leveling_gain(pole_log_mag - _log_mag(prew_zeros, anchor), _EDGE)
         _numerators(prew_zeros, self.c, self.section_dens, b0, b1)
         return gain
 
@@ -276,7 +286,7 @@ class ModulationContext:
             anchors = np.array([[anchor] for anchor, _ in levels[i:i + group]])
             zero_log_mags = _log_mag(prew_zeros, anchors).tolist()
             for j, (_, pole_log_mag) in enumerate(levels[i:i + group]):
-                yield numerators[..., j], _edge_gain(pole_log_mag - zero_log_mags[j])
+                yield numerators[..., j], _leveling_gain(pole_log_mag - zero_log_mags[j], _EDGE)
 
     def _edge_level(self, alpha: float) -> tuple[float, float]:
         """(anchor omega, pole half P) of the louder band edge for a slope;
@@ -286,16 +296,6 @@ class ModulationContext:
         if alpha < 0.0:
             return self.level_omega_low, self.pole_log_mag_low
         return self.level_omega_high, self.pole_log_mag_high
-
-
-def _edge_gain(log_gain: float) -> float:
-    """exp(log_gain), a stream's gain; past the float range it raises
-    OutOfRangeError."""
-    try:
-        return math.exp(log_gain)
-    except OverflowError:
-        raise OutOfRangeError(f"the gain that levels the louder band edge at unity, "
-                              f"e^{log_gain:.5g}, overflows float64") from None
 
 
 def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, ModulationContext]:

@@ -58,11 +58,16 @@ BAD_SWEEPS = ["-0.5:2:0.5", "-1.5:0:0.5", "nan:0:0.5", "0:1:nan", "-0.5:0.5:inf"
 # its center gain fits a float, but at 3e106 Hz its louder edge's does not.
 HUGE_BAND = design_to_json(design_tilt(0.0, order=2, skip=0, f_min_hz=1e96, f_max_hz=1e106,
                                        integer_part=-3)).encode()
+# The same band at slope -0.5: its low edge's gain fits at 3e106 Hz, but the
+# high edge's overflows from slope 0 up (e^739.29 at 0, e^739.59 at 1).
+HUGE_TILT = design_tilt(-0.5, order=2, skip=0, f_min_hz=1e96, f_max_hz=1e106, integer_part=-3)
+HUGE_SWEPT = "apply --design {d} --fs 3e106 -i {x} -o {y} --alpha-sweep="
 
 # Each row is an argv that must exit 2 with one "spectilt:" line holding the
-# message, no stdout bytes and no output file.  In argv, {d} is the stock
-# design, {c} its 48 kHz coefficients after the edit, {x} a file holding the
-# given bytes (16 ones as samples if None) and {y} the output path.
+# message, no stdout bytes and no output file.  In argv, {d} is the given
+# design (the stock one if None), {c} the stock design's 48 kHz coefficients
+# after the edit, {x} a file holding the given bytes (16 ones as samples if
+# None) and {y} the output path.
 EXIT_2 = {
     "missing-a1": (APPLY, "sections[3] " + SECTION, None, lambda c: c["sections"][3].pop("a1")),
     "sections-5": (APPLY, "sections must be a list", None, lambda c: c.update(sections=5)),
@@ -90,6 +95,13 @@ EXIT_2 = {
     "edge-gain-overflow": ("apply --design {x} --fs 3e106 -i {c} -o {y}",
                            "levels the louder band edge at unity, e^739.29, overflows float64",
                            HUGE_BAND),
+    # The sweep crosses slope 0 in its second chunk; its end, slope 1, needs
+    # the largest gain.
+    "sweep-gain-overflow": (HUGE_SWEPT + "-0.5:1:6.8e-102", "e^739.59, overflows float64",
+                            LONG, None, HUGE_TILT),
+    # Only the first slope's gain overflows, not the design slope's.
+    "sweep-start-gain-overflow": (HUGE_SWEPT + "0:-0.5:1", "e^739.29, overflows float64",
+                                  LONG, None, HUGE_TILT),
     "samples=0": ("noise --samples 0 -o {y}", "need at least one sample, got 0"),
     "samples=-5": ("noise --samples -5 -o {y}", "need at least one sample, got -5"),
     "digitize-fs=inf": ("digitize --design {d} -o {y} --fs inf", INF_FS),
@@ -146,10 +158,10 @@ STOCK_COEFFS = coefficients_to_json(digitize_design(STOCK, 48000.0)[0])
 def check_exit_2(tmp_path, capsys, row: str) -> None:
     """Run one EXIT_2 row, with warnings raised as errors, and check its
     whole exit-2 contract."""
-    argv, message, samples, edit = (EXIT_2[row] + (None, None))[:4]
+    argv, message, samples, edit, design = (EXIT_2[row] + (None, None, None))[:5]
     files = {"d": tmp_path / "d.json", "c": tmp_path / "c.json",
              "x": tmp_path / "in.raw", "y": tmp_path / "out.raw"}
-    files["d"].write_text(design_to_json(STOCK))
+    files["d"].write_text(design_to_json(STOCK if design is None else design))
     coeffs = json.loads(STOCK_COEFFS)
     if edit is not None:
         edit(coeffs)
@@ -331,6 +343,8 @@ class TestApplyCommand:
         *(f"sweep={s}" for s in BAD_SWEEPS), ids=BAD_SWEEPS)
     test_partial_sample_file_exits_2_before_output = contract("partial-file")
     test_edge_gain_overflow_exits_2_before_output = contract("edge-gain-overflow")
+    test_sweep_gain_overflow_exits_2_before_output = contract(
+        "sweep-gain-overflow", "sweep-start-gain-overflow", ids=["crosses-0", "start"])
     test_late_nan_file_exits_2_before_output = contract(
         "late-nan-coeffs", "late-nan-design", ids=["coeffs", "design"])
 
