@@ -17,15 +17,13 @@ def main() -> int:
     parser.add_argument("--ratios", type=float, nargs="+", default=[2.0, 1.5, 1.2, 1.1])
     parser.add_argument("--fmin", type=float, default=20.0)
     parser.add_argument("--fmax", type=float, default=20000.0)
-    parser.add_argument("--margin", type=float, default=6.0,
-                        help="minimum overhang past the band, nepers per side")
     args = parser.parse_args()
 
     band = BandSpec(args.fmin, args.fmax)
     for alpha in args.alphas:
         print(f"alpha = {alpha:+.3f}")
         print(f"  {'r':>6}  {'max |mag err|':>14}  {'max |phase err|':>16}")
-        rows = conjecture_convergence(alpha, args.ratios, band, margin_nepers=args.margin)
+        rows = conjecture_convergence(alpha, args.ratios, band)
         for r, mag_err, phase_err in rows:
             print(f"  {r:6.3f}  {mag_err:14.6e}  {phase_err:16.6e}")
     return 0

@@ -29,6 +29,10 @@ DB_PER_NEPER = 20.0 / math.log(10.0)
 
 DEFAULT_POINTS_PER_INTERVAL = 64
 
+# The least overhang, in nepers, of conjecture_convergence's ladders past
+# each band edge.
+CONVERGENCE_MARGIN_NEPERS = 6.0
+
 
 @dataclass(frozen=True, eq=False)
 class BodeGrid:
@@ -175,12 +179,8 @@ def slope_report(
     )
 
 
-def conjecture_convergence(
-    alpha: float,
-    r_sequence,
-    band: BandSpec,
-    margin_nepers: float = 6.0,
-) -> list[tuple[float, float, float]]:
+def conjecture_convergence(alpha: float, r_sequence,
+                           band: BandSpec) -> list[tuple[float, float, float]]:
     """In-band error against the ideal w^alpha response for a ratio sequence.
 
     For each r, make_analog_filter builds the ladder -r**k through -1 rad/s,
@@ -195,7 +195,7 @@ def conjecture_convergence(
     ripple shrinks super-exponentially in 1/ln r.  A fixed overhang would
     therefore bottom out at the truncation bias, so the array is extended by
     one extra neper per pair-per-neper of density: each side spans at least
-    margin_nepers + 1/ln r past the band, keeping truncation subdominant as
+    CONVERGENCE_MARGIN_NEPERS + 1/ln r past the band, keeping truncation subdominant as
     r -> 1.
     """
     spec = SlopeSpec(alpha)
@@ -207,7 +207,7 @@ def conjecture_convergence(
         if not r > 1.0:
             raise OutOfRangeError(f"every ratio must exceed 1, got {r}")
         ln_r = math.log(r)
-        overhang = margin_nepers + 1.0 / ln_r
+        overhang = CONVERGENCE_MARGIN_NEPERS + 1.0 / ln_r
         k_lo = math.floor((math.log(w_lo) - overhang) / ln_r)
         k_hi = math.ceil((math.log(w_hi) + overhang) / ln_r)
         filt = make_analog_filter(spec, PlacementResult(f1_hz=r**k_lo / TWO_PI, r=r),

@@ -174,21 +174,6 @@ def _parse_sweep(text: str):
     return schedule
 
 
-def _check_sweep_gains(filt, schedule) -> None:
-    """Raise, before any output, if a slope the sweep reaches needs a gain
-    past the float range.  The gain levels the low band edge below slope 0
-    and the high one from 0 up, and each edge's zero log-magnitude moves
-    monotonically with the slope, so the ends of each sign region bound
-    every gain: the sweep's two ends, and the slopes either side of 0 when
-    it crosses 0."""
-    low, high = sorted((schedule(0.0), schedule(math.inf)))
-    slopes = [low, high]
-    if low < 0.0 <= high:
-        slopes += [math.nextafter(0.0, -1.0), 0.0]
-    for _ in filt._mod._rebuild_rows(slopes):
-        pass
-
-
 def cmd_apply(args) -> int:
     from .runtime import StreamingFilter, _swept_blocks
 
@@ -207,7 +192,8 @@ def cmd_apply(args) -> int:
     else:
         filt = StreamingFilter(load_coefficients(args.coeffs))
     if schedule is not None:
-        _check_sweep_gains(filt, schedule)
+        # Every slope the sweep reaches lies between its two ends.
+        filt._mod._check_slopes(schedule(0.0), schedule(math.inf))
 
     with _open_stream(args.input, "rb") as fh_in:
         _check_input_file(fh_in)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -256,7 +256,7 @@ def make_analog_filter(spec: SlopeSpec, placement: PlacementResult, n: int) -> A
     products so that successive values are exact single multiplications.
     Zeros: the poles slid by _slide_zeros.  A nonzero integer part adds repeated
     poles (negative part) or zeros (positive part) breaking at f1/100.
-    Gain is left at 1; see normalize_gain.  A ladder whose top pole times r
+    Gain is left at 1; design_tilt levels it.  A ladder whose top pole times r
     would pass half of sqrt(float max) raises InvalidBandError.
     """
     return AnalogFilter(*_ladder(spec, placement, n))
@@ -291,17 +291,10 @@ def _ladder(spec: SlopeSpec, placement: PlacementResult, n: int) -> tuple[np.nda
     return poles, zeros
 
 
-def normalize_gain(filt: AnalogFilter, band: BandSpec) -> AnalogFilter:
-    """Scale the gain so |H| is exactly 1 at the log-geometric band center.
-
+def _center_gain(poles: np.ndarray, zeros: np.ndarray, band: BandSpec) -> float:
+    """The gain that puts |H| at exactly 1 at the log-geometric band center.
     The sum is interleaved (see pole_zero_sum), so a fully canceling array
     (alpha = 0) yields a gain of exactly one.
-    """
-    return replace(filt, gain=_center_gain(filt.poles, filt.zeros, band))
-
-
-def _center_gain(poles: np.ndarray, zeros: np.ndarray, band: BandSpec) -> float:
-    """The gain that puts |H| at 1 at the band center (see normalize_gain).
 
     A band too low for its center (see BandSpec.center_hz) raises
     InvalidBandError, and a gain past the float range OutOfRangeError.  Past
@@ -359,7 +352,7 @@ def design_tilt(
 ) -> TiltDesign:
     """Place, build, and gain-normalize a tilt filter in one call.
 
-    The same filter as normalize_gain(make_analog_filter(...), band), leveled
+    make_analog_filter's ladder, leveled at the band center by _center_gain
     before it is wrapped, so AnalogFilter checks the arrays once.
     """
     spec = SlopeSpec(alpha=alpha, integer_part=integer_part)

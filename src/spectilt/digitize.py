@@ -297,6 +297,19 @@ class ModulationContext:
             return self.level_omega_low, self.pole_log_mag_low
         return self.level_omega_high, self.pole_log_mag_high
 
+    def _check_slopes(self, a0: float, a1: float) -> None:
+        """Raise as rebuild would if any slope from a0 to a1 is out of range
+        or needs a gain past the float range.  The leveling edge switches
+        at slope 0 (see _edge_level), and each edge's zero log-magnitude is
+        monotone in the slope, so the ends of each sign region bound every
+        gain: a0, a1, and the slopes either side of 0 between them."""
+        low, high = sorted((a0, a1))
+        slopes = [low, high]
+        if low < 0.0 <= high:
+            slopes += [math.nextafter(0.0, -1.0), 0.0]
+        for _ in self._rebuild_rows(slopes):
+            pass
+
 
 def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, ModulationContext]:
     """Digitize a design into a first-order cascade, with the context for live

@@ -132,7 +132,7 @@ def test_criterion_05_convergence_conjecture():
     all_ok = True
     details = []
     for alpha in (-0.5, 0.5, -0.2):
-        rows = conjecture_convergence(alpha, ratios, band, margin_nepers=6.0)
+        rows = conjecture_convergence(alpha, ratios, band)
         mags = [m for _, m, _ in rows]
         phases = [p for _, _, p in rows]
         mag_mono = all(a > b for a, b in zip(mags, mags[1:]))

@@ -28,8 +28,8 @@ from spectilt import (
 from spectilt.design import (
     PlacementResult,
     SlopeSpec,
+    _center_gain,
     make_analog_filter,
-    normalize_gain,
     place_poles,
 )
 from spectilt.errors import DesignMismatchError, FileFormatError
@@ -314,13 +314,14 @@ class TestMakeAnalogFilter:
 class TestNormalizeGain:
     def test_zero_slope_gain_is_one(self):
         filt = make_analog_filter(SlopeSpec(0.0), PlacementResult(5.0, 3.0), 5)
-        assert normalize_gain(filt, BandSpec(1.0, 100.0)).gain == 1.0
+        assert _center_gain(filt.poles, filt.zeros, BandSpec(1.0, 100.0)) == 1.0
 
     def test_single_pole_center_at_unit_omega(self):
         # Band center at omega = 1: |1/(j+1)| = 1/sqrt(2), so gain = sqrt(2).
         filt = AnalogFilter(poles=[-1.0], zeros=[], gain=1.0)
         band = BandSpec(1.0 / (4.0 * math.pi), 1.0 / math.pi)
-        assert normalize_gain(filt, band).gain == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert _center_gain(filt.poles, filt.zeros, band) == pytest.approx(math.sqrt(2.0),
+                                                                            rel=1e-14)
 
     def test_band_center_unity_direct_product(self, default_design):
         # Independent oracle: plain complex products, no log accumulation.
@@ -329,18 +330,14 @@ class TestNormalizeGain:
         h = filt.gain * np.prod(1j * wc - filt.zeros) / np.prod(1j * wc - filt.poles)
         assert abs(h) == pytest.approx(1.0, rel=1e-12)
 
-    def test_only_gain_changes(self, default_design):
-        renormed = normalize_gain(default_design.filt, BandSpec(50.0, 5000.0))
-        assert np.array_equal(renormed.poles, default_design.filt.poles)
-        assert np.array_equal(renormed.zeros, default_design.filt.zeros)
-        assert renormed.gain != default_design.filt.gain
-
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 0.37, 1.0])
     @pytest.mark.parametrize("integer_part", [-2, 0, 1])
     def test_design_tilt_levels_like_normalize_gain(self, alpha, integer_part):
         # design_tilt levels the bare ladder; the gain must keep every bit.
         design = design_tilt(alpha, order=12, skip=2, integer_part=integer_part)
-        filt = normalize_gain(make_analog_filter(design.spec, design.placement, 12), design.band)
+        ladder = make_analog_filter(design.spec, design.placement, 12)
+        filt = AnalogFilter(ladder.poles, ladder.zeros,
+                            _center_gain(ladder.poles, ladder.zeros, design.band))
         assert design.filt == filt
         assert design.filt.gain == filt.gain
 
@@ -359,7 +356,7 @@ class TestNormalizeGain:
         # f_min*f_max underflows to 0, so the band center has no value: the
         # band is named, not a bare math error, nor leveled at DC as the last
         # row, whose squared center alone would not underflow, once was.
-        # normalize_gain on the same ladder names it the same way.
+        # _center_gain on the same ladder names it the same way.
         match = f"band too low: at its center, {center} Hz"
         with pytest.raises(InvalidBandError, match=match):
             design_tilt(-0.5, order=order, skip=skip, f_min_hz=f_min, f_max_hz=f_max,
@@ -368,7 +365,7 @@ class TestNormalizeGain:
         ladder = make_analog_filter(SlopeSpec(-0.5, integer_part), place_poles(order, skip, band),
                                     order)
         with pytest.raises(InvalidBandError, match=match):
-            normalize_gain(ladder, band)
+            _center_gain(ladder.poles, ladder.zeros, band)
 
 
     def test_overflowing_gain_named(self):

@@ -449,6 +449,17 @@ class TestModulationContext:
         with pytest.raises(OutOfRangeError, match=r"louder band edge at unity, e\^739.29"):
             next(ctx._rebuild_rows([0.0]))
 
+    def test_slope_range_checked_at_its_bounds(self):
+        # At 3e106 Hz this band's low edge levels every slope below 0, but
+        # the high edge's gain overflows from slope 0 up.
+        design = design_tilt(-0.5, order=2, skip=0, f_min_hz=1e96, f_max_hz=1e106,
+                             integer_part=-3)
+        _, ctx = digitize_design(design, 3e106)
+        ctx._check_slopes(-1.0, math.nextafter(0.0, -1.0))
+        for a0, a1 in [(-0.5, 1.0), (1.0, -0.5), (0.0, 0.0)]:
+            with pytest.raises(OutOfRangeError, match="overflows float64"):
+                ctx._check_slopes(a0, a1)
+
     def test_denominators_never_rebuilt(self, default_design):
         _, ctx = digitize_design(default_design, 48000.0)
         dens_before = ctx.section_dens.copy()
