@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (TWO_PI, AnalogFilter, BandSpec, PlacementResult, SlopeSpec,
-                     make_analog_filter, pole_zero_sum)
+from .design import (MAX_GRID_POINTS, TWO_PI, AnalogFilter, BandSpec, PlacementResult,
+                     SlopeSpec, make_analog_filter, pole_zero_sum)
 from .errors import BadGoodBandError, OutOfRangeError
 
 CSV_HEADER = "omega_rad_s,omega_ln,mag_db,phase_rad,slope_nepers,slope_error"
@@ -139,7 +139,8 @@ def slope_report(
 
     The grid covers [ln|p_0| - ln r, ln|p_(n-1)| + ln r] with
     ``points_per_interval`` points per pole interval; the good band runs
-    between the k_skip-th and (n-1-k_skip)-th pole break frequencies.
+    between the k_skip-th and (n-1-k_skip)-th pole break frequencies.  A
+    grid past MAX_GRID_POINTS raises OutOfRangeError before it is allocated.
     """
     if int(points_per_interval) < 8:
         raise OutOfRangeError(f"points_per_interval must be at least 8, got {points_per_interval}")
@@ -150,10 +151,14 @@ def slope_report(
     if k_skip >= n / 2:
         raise BadGoodBandError(f"k_skip={k_skip} leaves no good band for n={n}")
 
+    npts = (n + 1) * int(points_per_interval) + 1
+    if npts > MAX_GRID_POINTS:
+        raise OutOfRangeError(f"a grid of {points_per_interval} points per interval over "
+                              f"{n + 1} intervals holds {npts} points, past the "
+                              f"{MAX_GRID_POINTS} allowed")
     ln_p0 = math.log(TWO_PI * placement.f1_hz)
     ln_r = placement.delta_p
     start = ln_p0 - ln_r
-    npts = (n + 1) * int(points_per_interval) + 1
     omega_log = np.linspace(start, ln_p0 + n * ln_r, npts)
     omega_log.flags.writeable = False
     grid = BodeGrid(omega_log=omega_log)

@@ -190,7 +190,11 @@ def cmd_apply(args) -> int:
         design = load_design(args.design)
         filt = StreamingFilter.for_design(design, args.fs)
     else:
-        filt = StreamingFilter(load_coefficients(args.coeffs))
+        dfilt = load_coefficients(args.coeffs)
+        if args.fs is not None and args.fs != dfilt.sample_rate_hz:
+            raise FilterDesignError(f"--fs {args.fs!r} Hz differs from the coefficient "
+                                    f"file's sample rate, {dfilt.sample_rate_hz!r} Hz")
+        filt = StreamingFilter(dfilt)
     if schedule is not None:
         # Every slope the sweep reaches lies between its two ends.
         filt._mod._check_slopes(schedule(0.0), schedule(math.inf))
@@ -273,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="filter a raw float64 sample stream")
     p.add_argument("--coeffs", default=None, help="coefficient file (static filtering)")
     p.add_argument("--design", default=None, help="design file (enables slope modulation)")
-    p.add_argument("--fs", type=float, default=None, help="sample rate in Hz (with --design)")
+    p.add_argument("--fs", type=float, default=None,
+                   help="sample rate in Hz (needed with --design; with --coeffs, "
+                        "must equal the file's)")
     p.add_argument("--alpha-sweep", default=None, metavar="A0:A1:SECONDS",
                    help="linear slope sweep applied per 64-sample control block")
     p.add_argument("--input", "-i", default=None, help="input raw float64 file (default stdin)")

@@ -35,6 +35,9 @@ MAX_INTEGER_PART = 4
 # Far above any useful ladder, and low enough that a design of this order
 # makes a round trip through its file in tens of milliseconds.
 MAX_ORDER = 10_000
+# Most points a bode grid may hold, checked before it is allocated: a
+# MAX_ORDER design still grades at the default 64 points per interval.
+MAX_GRID_POINTS = 1 << 20
 
 # Highest angular frequency a ladder may reach: a sum of two squares below it
 # stays finite, with room left for the ladder's rounding.

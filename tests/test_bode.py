@@ -19,8 +19,10 @@ from spectilt import (
     slope_report,
     write_report_csv,
 )
-from spectilt.bode import CSV_HEADER, find_error_extrema, freq_response
-from spectilt.design import PlacementResult, SlopeSpec, make_analog_filter, place_poles
+from spectilt.bode import (CSV_HEADER, DEFAULT_POINTS_PER_INTERVAL, find_error_extrema,
+                           freq_response)
+from spectilt.design import (MAX_GRID_POINTS, MAX_ORDER, PlacementResult, SlopeSpec,
+                             make_analog_filter, place_poles)
 
 from conftest import random_band
 from test_golden import _design, _grid
@@ -263,6 +265,19 @@ class TestSlopeReport:
         for points in (0, 4, 7):
             with pytest.raises(OutOfRangeError, match="points_per_interval must be at least 8"):
                 slope_report(filt, spec, placement, 20, 3, points_per_interval=points)
+
+    @pytest.mark.parametrize("points", [MAX_GRID_POINTS // 21 + 1, 10**11])
+    def test_grid_size_bound(self, unit_ladder, monkeypatch, points):
+        # 21 intervals: the least density past the cap, and one whose grid
+        # numpy cannot allocate.  Either is rejected before any grid exists.
+        spec, placement, filt = unit_ladder
+        monkeypatch.setattr(np, "linspace", None)
+        with pytest.raises(OutOfRangeError, match=f"holds {21 * points + 1} points, past the "
+                                                  f"{MAX_GRID_POINTS} allowed"):
+            slope_report(filt, spec, placement, 20, 3, points_per_interval=points)
+
+    def test_max_order_grades_at_the_default_density(self):
+        assert (MAX_ORDER + 1) * DEFAULT_POINTS_PER_INTERVAL + 1 <= MAX_GRID_POINTS
 
     def test_integer_part_shifts_target(self):
         # With an integer part the in-band slope approximates alpha + m.

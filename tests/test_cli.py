@@ -84,6 +84,9 @@ EXIT_2 = {
     "late-nan-coeffs": (APPLY, NAN, LATE_NAN),
     "late-nan-design": ("apply --design {d} --fs 48000 -i {x} -o {y}", NAN, LATE_NAN),
     "both-sources": (APPLY + " --design {d} --fs 48000", "exactly one of"),
+    # The file holds 48 kHz coefficients.
+    "coeffs-fs-conflict": (APPLY + " --fs 44100", "--fs 44100.0 Hz differs from the "
+                           "coefficient file's sample rate, 48000.0 Hz"),
     "design-without-fs": ("apply --design {d} -i {x} -o {y}", "--design needs --fs"),
     "sweep-without-design": (APPLY + " --alpha-sweep=-1:1:0.1", "needs --design"),
     **{f"sweep={sweep}": (SWEPT + sweep, message, LONG) for sweep, message in zip(
@@ -129,6 +132,9 @@ EXIT_2 = {
     "order=1e13": ("design --alpha -0.5 --order 10000000000000",
                    "order must be <= 10000, got n=10000000000000"),
     "bode-points=4": ("bode --design {d} --points-per-interval 4", POINTS),
+    # Rejected before the grid is allocated: numpy would need 15.3 TiB.
+    "bode-points=1e11": ("bode --design {d} --points-per-interval 100000000000",
+                         "holds 2100000000001 points, past the 1048576 allowed"),
     "bode-malformed": ("bode --design {x}", "missing fields: integer_part", b'{"alpha": 0.5}'),
     "digitize-fs=150": ("digitize --design {x} --fs 150", "band center 707.1", design_to_json(
         design_tilt(-0.5, f_min_hz=100.0, f_max_hz=5000.0)).encode()),
@@ -284,6 +290,8 @@ class TestBodeCommand:
 
     test_too_coarse_grid_exits_2 = contract("bode-points=4")
 
+    test_too_large_grid_exits_2 = contract("bode-points=1e11")
+
 
 class TestDigitizeCommand:
     def test_writes_coefficients_and_reports_truncation(self, tmp_path, capsys):
@@ -339,6 +347,7 @@ class TestApplyCommand:
     test_ragged_input_exits_2 = contract("ragged-input")
     test_sweep_requires_design = contract("sweep-without-design")
     test_both_sources_rejected = contract("both-sources")
+    test_conflicting_rate_rejected = contract("coeffs-fs-conflict")
     test_bad_sweep_exits_2_before_output = contract(
         *(f"sweep={s}" for s in BAD_SWEEPS), ids=BAD_SWEEPS)
     test_partial_sample_file_exits_2_before_output = contract("partial-file")
@@ -366,6 +375,26 @@ class TestApplyCommand:
         assert code == 0
         y = np.fromfile(xout, dtype="<f8")
         assert np.max(np.abs(y - x)) < 1e-12
+
+    def test_conflicting_rate_rejected_before_input_opened(self, tmp_path, capsys):
+        _, cpath = self._design_and_coeffs(tmp_path, capsys)
+        code, _, err = run(capsys, "apply", "--coeffs", str(cpath), "--fs", "44100",
+                           "-i", str(tmp_path / "missing.raw"), "-o", str(tmp_path / "out.raw"))
+        assert code == 2
+        assert "differs from the coefficient file's sample rate" in err
+
+    def test_matching_rate_is_accepted(self, tmp_path, capsys):
+        _, cpath = self._design_and_coeffs(tmp_path, capsys)
+        xin = tmp_path / "in.raw"
+        xin.write_bytes(LONG)
+        outputs = []
+        for extra in ([], ["--fs", "48000"]):
+            xout = tmp_path / f"out{len(extra)}.raw"
+            code, _, _ = run(capsys, "apply", "--coeffs", str(cpath), *extra,
+                             "-i", str(xin), "-o", str(xout))
+            assert code == 0
+            outputs.append(xout.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_nan_in_pipe_exits_2(self, tmp_path, capsys, monkeypatch):
         # A pipe cannot be scanned ahead, so each block is checked as it streams.
