@@ -196,8 +196,11 @@ def pole_zero_sum(poles: np.ndarray, zeros: np.ndarray, term, start):
     Every analog sum over the prototype's factors goes through here (the
     digital leveling sums are one-sided: see digitize._log_mag).  The
     terms are interleaved, so for interlaced arrays the running sum stays O(1)
-    instead of O(order), keeping rounding noise far below the ripple being
-    measured, and a fully canceling array (alpha = 0) sums to exactly ``start``.
+    instead of O(order), and a fully canceling array (alpha = 0) sums to
+    exactly ``start``.  Against a 40-digit sum, the stock ladder's in-band
+    slope is within 1e-14 at every order up to MAX_ORDER (4.5e-15 measured
+    there), where a one-sided sum's error reaches 1.2e-11
+    (tests/test_precision.py).
     """
     out = start
     zeros, poles = zeros.tolist(), poles.tolist()  # float roots: faster scalar math
