@@ -17,8 +17,7 @@ from spectilt.cli import build_parser
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 WORKLOADS = ["design-grade", "stream-static", "stream-modulated"]
-# probe_layers reads 2 Mi samples of the static input.
-SIZES = {"static_samples": 2 << 20, "noise_samples": 4096, "mod_samples": 4096,
+SIZES = {"static_samples": 3 << 16, "noise_samples": 4096, "mod_samples": 4096,
          "grid_cells": 4}
 
 
@@ -32,8 +31,8 @@ def perfbench(monkeypatch):
     return run, spans, worker
 
 
-def plan_for(run, tmp_path, workload: str, trace: int) -> dict:
-    plan = run.make_plan(str(tmp_path), str(tmp_path), workload, 1, 1.0, trace, SIZES)
+def plan_for(run, tmp_path, workload: str, trace: int, sizes=SIZES) -> dict:
+    plan = run.make_plan(str(tmp_path), str(tmp_path), workload, 1, 1.0, trace, sizes)
     run.write_inputs(plan)
     return plan
 
@@ -64,7 +63,8 @@ def test_workload_runs_as_the_worker_runs_it(perfbench, tmp_path, workload):
 
 def test_layer_probes_and_cold_commands(perfbench, tmp_path):
     run, spans, worker = perfbench
-    plan = plan_for(run, tmp_path, "stream-modulated", 1)
+    # probe_layers reads 2 Mi samples of the static input.
+    plan = plan_for(run, tmp_path, "stream-modulated", 1, dict(SIZES, static_samples=2 << 20))
     api = spans.traced_api(worker.program_api(spectilt), worker.SPAN_NAMES, spans.Tracer())
     assert worker.probe_layers(spectilt, api, plan, plan["files"]) > 0
     parser = build_parser()
