@@ -200,8 +200,8 @@ def conjecture_convergence(alpha: float, r_sequence,
     ripple shrinks super-exponentially in 1/ln r.  A fixed overhang would
     therefore bottom out at the truncation bias, so the array is extended by
     one extra neper per pair-per-neper of density: each side spans at least
-    CONVERGENCE_MARGIN_NEPERS + 1/ln r past the band, keeping truncation subdominant as
-    r -> 1.
+    CONVERGENCE_MARGIN_NEPERS + 1/ln r past the band, keeping truncation
+    subdominant as r -> 1.
     """
     spec = SlopeSpec(alpha)
     w_lo = TWO_PI * band.f_min_hz

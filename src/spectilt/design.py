@@ -299,13 +299,12 @@ def _ladder(spec: SlopeSpec, placement: PlacementResult, n: int) -> tuple[np.nda
 
 def _center_gain(poles: np.ndarray, zeros: np.ndarray, band: BandSpec) -> float:
     """The gain that puts |H| at exactly 1 at the log-geometric band center.
-    The sum is interleaved (see pole_zero_sum), so a fully canceling array
-    (alpha = 0) yields a gain of exactly one.
 
-    A band too low for its center (see BandSpec.center_hz) raises
-    InvalidBandError, and a gain past the float range OutOfRangeError.  Past
-    that check the squared angular center is at least 8.7e-307, so no log
-    term meets 0.
+    The sum is interleaved (see pole_zero_sum), so a fully canceling array
+    (alpha = 0) yields a gain of exactly one.  A band too low for its center
+    (see BandSpec.center_hz) raises InvalidBandError, and a gain past the
+    float range OutOfRangeError.  Past that check the squared angular center
+    is at least 8.7e-307, so no log term meets 0.
     """
     wc = TWO_PI * band.center_hz
     wc2 = wc * wc
