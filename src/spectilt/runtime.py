@@ -1,12 +1,25 @@
 """Streaming sample processing, live slope modulation, and 1/f-family noise.
 
-The cascade runs first-order rows ``[b0, b1, 0, 1, a1, 0]`` through the
-compiled loop behind ``scipy.signal.sosfilt``, one call per block.  Each row
-runs in transposed direct form, so coefficients can be swapped between
-blocks without disturbing the stored state.  Because the poles of a tilt
-design never move, changing the slope only rewrites the numerator columns
-(and the block-level gain): the denominators are bit-identical across any
-modulation schedule.
+The cascade runs through the compiled loop behind ``scipy.signal.sosfilt``,
+one call per block, in one of two row layouts.  Every pole and zero of a
+tilt design is real, so a first-order section is the row
+``[b0, b1, 0, 1, a1, 0]``, on which the loop spends half its work on zeros.
+
+- A filter built from bare coefficients runs paired rows: section k times
+  section n-1-k, lowest pole with highest, as one biquad holding the exact
+  products of the two first-order rows; with an odd count the middle
+  section stays a first-order row.  This halves the loop's work.  Pairing
+  neighbours instead puts two poles near z = 1 in one biquad and loses
+  about three digits (see tests/test_precision.py).
+- A filter built for a design keeps first-order rows.  Each runs in
+  transposed direct form, so numerators can be swapped between blocks
+  without disturbing the stored state, and since the poles of a tilt design
+  never move, changing the slope only rewrites the numerator columns (and
+  the block-level gain): the denominators are bit-identical across any
+  modulation schedule.  A paired row's state does not carry a numerator
+  swap the way its two first-order states do: swept -1 to 1 with a rebuild
+  every 64 samples, the paired output of the stock design drifts 3.5e-4 of
+  its peak from the first-order cascade.
 
 This is the only module that loads scipy; the package and the CLI import it
 on first use.  The compiled loop is loaded from its extension file, which
@@ -99,22 +112,49 @@ class GaussianSource:
         return self._rng.standard_normal(int(n))
 
 
-class StreamingFilter:
-    """Stateful cascade of first-order sections with one unit delay each.
+def _paired_rows(sos: np.ndarray) -> np.ndarray:
+    """Cascade rows pairing first-order section k with section n-1-k, for
+    k < n/2: numerator and denominator are the exact products
+    (b0_i + b1_i/z)(b0_j + b1_j/z) and (1 + a1_i/z)(1 + a1_j/z).  With an
+    odd count the middle section is the last row, as it stands."""
+    n = len(sos)
+    low, high = sos[:n // 2], sos[:(n - 1) // 2:-1]
+    rows = sos[:(n + 1) // 2].copy()
+    rows[:n // 2] = np.column_stack([
+        low[:, 0] * high[:, 0],
+        low[:, 0] * high[:, 1] + low[:, 1] * high[:, 0],
+        low[:, 1] * high[:, 1],
+        np.ones(n // 2),
+        low[:, 4] + high[:, 4],
+        low[:, 4] * high[:, 4],
+    ])
+    return rows
 
-    One instance is owned by one processing context at a time; hand the whole
-    object between threads, never share it.  Slope updates arrive between
-    blocks through set_alpha.
+
+class StreamingFilter:
+    """Stateful cascade of a digital filter's first-order sections.
+
+    A filter built from bare coefficients runs them as paired second-order
+    rows; one built by for_design keeps first-order rows, whose numerators
+    set_alpha rewrites (see the module docstring).  One instance is owned by
+    one processing context at a time; hand the whole object between
+    threads, never share it.  Slope updates arrive between blocks through
+    set_alpha.
     """
 
     def __init__(self, digital: DigitalFilter):
-        # A writable copy: set_alpha rewrites the numerator columns in place.
-        self._sos = digital.sos.copy()
+        self._use_rows(_paired_rows(digital.sos))
+        # The first-order a1 of every section, in section order.
+        self._a1 = digital.sos[:, 4]
         self._gain = digital.gain
-        # Updated in place by every block, in the kernel's (1, sections, 2) layout.
-        self._state = np.zeros((1, len(self._sos), 2))
         self._fs = digital.sample_rate_hz
         self._mod: ModulationContext | None = None
+
+    def _use_rows(self, sos: np.ndarray) -> None:
+        """Run the cascade rows sos, from a zero state."""
+        self._sos = sos
+        # Updated in place by every block, in the kernel's (1, rows, 2) layout.
+        self._state = np.zeros((1, len(sos), 2))
 
     @classmethod
     def for_design(cls, design: TiltDesign, fs_hz: float) -> "StreamingFilter":
@@ -122,6 +162,11 @@ class StreamingFilter:
         one way to get a filter that set_alpha can drive."""
         digital, context = digitize_design(design, fs_hz)
         out = cls(digital)
+        # First-order rows, whose states carry the numerator swaps of
+        # set_alpha; paired rows would not (see the module docstring).  A
+        # writable copy: set_alpha rewrites the numerator columns in place.
+        out._use_rows(digital.sos.copy())
+        out._a1 = out._sos[:, 4]
         out._mod = context
         # The numerators are already rebuild's at the design slope; this only
         # moves the gain from the file's band-center level to the edge level.
@@ -138,7 +183,9 @@ class StreamingFilter:
 
     @property
     def denominators(self) -> np.ndarray:
-        return self._sos[:, 4].copy()
+        """The first-order a1 of every section, in section order, whatever
+        the row layout."""
+        return self._a1.copy()
 
     def process(self, block) -> np.ndarray:
         """Run one block through the cascade; gain is applied once per block.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import lfilter
+from scipy.signal import lfilter, sosfilt
 
 from spectilt import runtime
 from spectilt import (
@@ -18,6 +18,8 @@ from spectilt import (
     digitize_design,
     pink_noise,
 )
+from test_golden import STREAM_DESIGNS
+from test_golden import _design as _golden_design
 
 
 class TestGaussianSource:
@@ -120,16 +122,18 @@ class TestProcess:
         assert np.array_equal(x, before)
 
 
-def _per_section_lfilter(dfilt, x):
+def _per_section_lfilter(dfilt, gain, x):
     """The cascade as one lfilter recursion per section, gain applied last."""
     y = x
     for b0, b1, _, _, a1, _ in dfilt.sos:
         y = lfilter([b0, b1], [1.0, a1], y)
-    return dfilt.gain * y
+    return gain * y
 
 
 class TestKernelReference:
-    """The single sosfilt cascade reproduces the per-section recursion bit for bit."""
+    """The compiled loop on first-order rows reproduces the per-section
+    recursion bit for bit.  A filter built for a design runs such rows; a
+    bare-coefficient filter pairs them (see TestRowLayout)."""
 
     DESIGNS = {
         "stock-48k": (lambda: design_tilt(-0.5), 48000.0),
@@ -146,9 +150,82 @@ class TestKernelReference:
         n = 4000 if chunk == 1 else 70000
         x = GaussianSource(17).block(n)
         chunk = chunk or n
-        filt = StreamingFilter(dfilt)
+        # At the design slope, for_design's numerators are the file's.
+        filt = StreamingFilter.for_design(make(), fs)
         y = np.concatenate([filt.process(x[i:i + chunk]) for i in range(0, n, chunk)])
-        assert np.array_equal(y, _per_section_lfilter(dfilt, x))
+        assert np.array_equal(y, _per_section_lfilter(dfilt, filt.gain, x))
+
+
+def _paired_reference(sos):
+    """Rows pairing section k with section n-1-k by np.polymul; an odd
+    count's middle section last, as a first-order row."""
+    n = len(sos)
+    rows = [np.concatenate([np.polymul(sos[k, :2], sos[n - 1 - k, :2]),
+                            np.polymul([1.0, sos[k, 4]], [1.0, sos[n - 1 - k, 4]])])
+            for k in range(n // 2)]
+    return np.array(rows + [sos[n // 2]] * (n % 2))
+
+
+class TestRowLayout:
+    """A bare-coefficient filter runs paired second-order rows; a filter
+    built for a design keeps first-order rows."""
+
+    @pytest.mark.parametrize("name", sorted(STREAM_DESIGNS))
+    def test_bare_filter_runs_exact_low_with_high_products(self, name):
+        args, fs = STREAM_DESIGNS[name]
+        dfilt, _ = digitize_design(_golden_design(*args), fs)
+        filt = StreamingFilter(dfilt)
+        rows = _paired_reference(dfilt.sos)
+        assert np.array_equal(filt._sos, rows)
+        x = GaussianSource(19).block(5000)
+        assert np.array_equal(filt.process(x), dfilt.gain * sosfilt(rows, x))
+
+    def test_odd_count_keeps_one_first_order_row(self):
+        args, fs = STREAM_DESIGNS["integer-part-1-48k"]
+        dfilt, _ = digitize_design(_golden_design(*args), fs)
+        filt = StreamingFilter(dfilt)
+        assert len(dfilt.sos) == 7 and filt._sos.shape == (4, 6)
+        assert np.array_equal(filt._sos[-1], dfilt.sos[3])
+        assert np.all(filt._sos[:-1, 2:6:3] != 0.0)
+        assert filt._state.shape == (1, 4, 2)
+
+    def test_denominators_are_the_first_order_a1(self, default_design):
+        dfilt, _ = digitize_design(default_design, 48000.0)
+        for filt in (StreamingFilter(dfilt), StreamingFilter.for_design(default_design, 48000.0)):
+            assert filt.denominators.tobytes() == dfilt.sos[:, 4].tobytes()
+
+    def test_any_chunking_gives_the_same_bytes(self, default_design):
+        dfilt, _ = digitize_design(default_design, 48000.0)
+        x = GaussianSource(21).block(1 << 16)
+        whole = StreamingFilter(dfilt).process(x)
+        filt = StreamingFilter(dfilt)
+        pieces = np.concatenate([filt.process(x[i:i + 63]) for i in range(0, len(x), 63)])
+        assert pieces.tobytes() == whole.tobytes()
+
+    def test_set_alpha_on_bare_filter_raises_and_leaves_the_rows(self, default_design):
+        dfilt, _ = digitize_design(default_design, 48000.0)
+        filt = StreamingFilter(dfilt)
+        rows = filt._sos.copy()
+        with pytest.raises(OutOfRangeError):
+            filt.set_alpha(0.25)
+        assert np.array_equal(filt._sos, rows)
+
+    def test_design_filter_keeps_first_order_rows(self, default_design):
+        # A swept stream equals the first-order cascade at the rebuilt
+        # numerators, each block's state carried over, bit for bit.
+        dfilt, ctx = digitize_design(default_design, 48000.0)
+        filt = StreamingFilter.for_design(default_design, 48000.0)
+        assert np.array_equal(filt._sos, dfilt.sos)
+        x = GaussianSource(23).block(64 * 40)
+        state = np.zeros((len(dfilt.sos), 2))
+        for j, alpha in enumerate(np.linspace(-1.0, 1.0, 40)):
+            filt.set_alpha(float(alpha))
+            b0, b1, gain = ctx.rebuild(float(alpha))
+            sos = dfilt.sos.copy()
+            sos[:, 0], sos[:, 1] = b0, b1
+            block = x[64 * j:64 * (j + 1)]
+            ref, state = sosfilt(sos, block, zi=state)
+            assert np.array_equal(filt.process(block), gain * ref)
 
 
 class TestCascadeSelection:
