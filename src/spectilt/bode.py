@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (MAX_GRID_POINTS, TWO_PI, AnalogFilter, BandSpec, PlacementResult,
-                     SlopeSpec, make_analog_filter, pole_zero_sum)
+from .design import (MAX_GRID_POINTS, MAX_ORDER, TWO_PI, AnalogFilter, BandSpec,
+                     PlacementResult, SlopeSpec, make_analog_filter, pole_zero_sum)
 from .errors import BadGoodBandError, OutOfRangeError
 
 CSV_HEADER = "omega_rad_s,omega_ln,mag_db,phase_rad,slope_nepers,slope_error"
@@ -193,7 +193,10 @@ def conjecture_convergence(alpha: float, r_sequence,
     raises its InvalidBandError); the level is aligned at the band center, and
     the rows report (r, max relative magnitude error, max phase error vs
     alpha*pi/2) on 32 grid points per pole interval.  Used to confirm that
-    both errors fall as r -> 1.
+    both errors fall as r -> 1.  Every ratio is checked before the first
+    ladder is built: one whose ladder would hold more than MAX_ORDER poles
+    raises OutOfRangeError, since the cost grows with the square of the pole
+    count (from r = 1.015 down, past 10 000 poles).
 
     Truncating the array leaves a residual bias ~ exp(-overhang) at the band
     edges whose prefactor does not shrink with r, while the density-limited
@@ -207,16 +210,21 @@ def conjecture_convergence(alpha: float, r_sequence,
     w_lo = TWO_PI * band.f_min_hz
     w_hi = TWO_PI * band.f_max_hz
     wc = TWO_PI * band.center_hz
-    rows = []
+    ladders = []
     for r in r_sequence:
         if not r > 1.0:
             raise OutOfRangeError(f"every ratio must exceed 1, got {r}")
         ln_r = math.log(r)
         overhang = CONVERGENCE_MARGIN_NEPERS + 1.0 / ln_r
         k_lo = math.floor((math.log(w_lo) - overhang) / ln_r)
-        k_hi = math.ceil((math.log(w_hi) + overhang) / ln_r)
-        filt = make_analog_filter(spec, PlacementResult(f1_hz=r**k_lo / TWO_PI, r=r),
-                                  k_hi - k_lo + 1)
+        n_poles = math.ceil((math.log(w_hi) + overhang) / ln_r) - k_lo + 1
+        if n_poles > MAX_ORDER:
+            raise OutOfRangeError(f"ratio {r} needs a ladder of {n_poles} poles, "
+                                  f"more than {MAX_ORDER}")
+        ladders.append((r, ln_r, k_lo, n_poles))
+    rows = []
+    for r, ln_r, k_lo, n_poles in ladders:
+        filt = make_analog_filter(spec, PlacementResult(f1_hz=r**k_lo / TWO_PI, r=r), n_poles)
 
         n_grid = max(2, int(math.ceil(math.log(w_hi / w_lo) / ln_r)) * 32) + 1
         omega = np.exp(np.linspace(math.log(w_lo), math.log(w_hi), n_grid))

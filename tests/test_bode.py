@@ -19,6 +19,7 @@ from spectilt import (
     slope_report,
     write_report_csv,
 )
+from spectilt import bode
 from spectilt.bode import (CSV_HEADER, DEFAULT_POINTS_PER_INTERVAL, find_error_extrema,
                            freq_response)
 from spectilt.design import (MAX_GRID_POINTS, MAX_ORDER, PlacementResult, SlopeSpec,
@@ -343,6 +344,30 @@ class TestConjectureConvergence:
     def test_bad_slope_rejected(self):
         with pytest.raises(OutOfRangeError, match="alpha must lie in"):
             conjecture_convergence(1.5, [], self.BAND)
+
+    @pytest.mark.parametrize("ratio, poles", [(1.0000001, 200000208844017), (1.005, 84193)])
+    def test_ladder_past_max_order_rejected_before_it_is_built(self, monkeypatch, ratio, poles):
+        def build(*args):
+            raise AssertionError("the ladder was built")
+
+        monkeypatch.setattr(bode, "make_analog_filter", build)
+        with pytest.raises(OutOfRangeError, match=f"ratio {ratio} needs a ladder of {poles} "):
+            conjecture_convergence(-0.5, [2.0, ratio], self.BAND)
+
+    def test_ladder_sizes_either_side_of_max_order(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def build(spec, placement, n):
+            raise Built(n)
+
+        monkeypatch.setattr(bode, "make_analog_filter", build)
+        for ratio, poles in [(1.1, 421), (1.02, 6056)]:
+            with pytest.raises(Built) as built:
+                conjecture_convergence(-0.5, [ratio], self.BAND)
+            assert built.value.args == (poles,)
+        with pytest.raises(OutOfRangeError, match="ratio 1.015 needs a ladder of 10294 "):
+            conjecture_convergence(-0.5, [1.015], self.BAND)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ladder_past_float_range_rejected(self):
