@@ -32,7 +32,10 @@ side's median and quartiles, the pairs the change won (ties count for
 neither side), the gap between the medians, the parent's interquartile
 range and the verdict: "met" when the change won at least nine in ten of
 the pairs and its median is better than the parent's by more than the
-parent's interquartile range.  The worktree is removed at the end.
+parent's interquartile range.  After its pairs, every workload runs once
+per side at ``--trace 1`` on the first pair's seed, parent first, and the
+file holds each side's per-layer metrics as ``layers``.  The worktree is
+removed at the end.
 """
 
 from __future__ import annotations
@@ -144,6 +147,7 @@ def measure_pairs(tree: str, first_seed: int, seconds: float) -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     seeds = [first_seed + i for i in range(PAIRS)]
+    trees = {"parent": tree, "change": ROOT}
     out = {"seeds": seeds, "workloads": {}}
     for workload in WORKLOADS:
         rows = []
@@ -152,7 +156,7 @@ def measure_pairs(tree: str, first_seed: int, seconds: float) -> dict:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 before = control_s()
-                result = perfbench(workload, seed, seconds, 0, tree if side == "parent" else ROOT)
+                result = perfbench(workload, seed, seconds, 0, trees[side])
                 row[side] = {"attempted": result["attempted"], "failed": result["failed"],
                              "control_s": [before, control_s()],
                              "metrics": {name: m["value"]
@@ -165,7 +169,9 @@ def measure_pairs(tree: str, first_seed: int, seconds: float) -> dict:
                                       [r["change"]["metrics"][name] for r in rows],
                                       better[name]) for name in names},
             "control_s": {side: summary([t for r in rows for t in r[side]["control_s"]])
-                          for side in ("parent", "change")},
+                          for side in trees},
+            "layers": {side: perfbench(workload, seeds[0], seconds, 1, trees[side])["metrics"]
+                       for side in trees},
         }
     return out
 

@@ -110,8 +110,11 @@ class DigitalFilter:
     """Cascade of first-order sections (b0 + b1/z) / (1 + a1/z) with one block-level gain.
 
     ``sos`` is a read-only (n, 6) array holding one row [b0, b1, 0, 1, a1, 0]
-    per section, the second-order-section layout of scipy's compiled cascade
-    loop, which StreamingFilter runs; section k has its pole at z = -a1.
+    per section, in the second-order-section layout of scipy's compiled
+    cascade loop; section k has its pole at z = -a1.  These rows are the
+    coefficient file's sections.  StreamingFilter runs them as they stand
+    when built for a design, and pairs them into second-order rows when built
+    from a DigitalFilter alone (see spectilt.runtime).
     """
 
     sos: np.ndarray
