@@ -166,7 +166,7 @@ class StreamingFilter:
         # set_alpha; paired rows would not (see the module docstring).  A
         # writable copy: set_alpha rewrites the numerator columns in place.
         out._use_rows(digital.sos.copy())
-        out._a1 = out._sos[:, 4]
+        out._a1 = out._sos[:, 4]  # denominators reads the live rows
         out._mod = context
         # The numerators are already rebuild's at the design slope; this only
         # moves the gain from the file's band-center level to the edge level.
