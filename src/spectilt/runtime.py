@@ -18,8 +18,9 @@ tilt design is real, so a first-order section is the row
   the block-level gain): the denominators are bit-identical across any
   modulation schedule.  A paired row's state does not carry a numerator
   swap the way its two first-order states do: swept -1 to 1 with a rebuild
-  every 64 samples, the paired output of the stock design drifts 3.5e-4 of
-  its peak from the first-order cascade.
+  every 64 samples, the paired output of the stock design drifts 3.5e-4 to
+  1.2e-3 of its peak from the first-order cascade, the faster the sweep the
+  further.
 
 This is the only module that loads scipy; the package and the CLI import it
 on first use.  The compiled loop is loaded from its extension file, which
