@@ -18,8 +18,7 @@ from spectilt import (
     digitize_design,
     pink_noise,
 )
-from test_golden import STREAM_DESIGNS
-from test_golden import _design as _golden_design
+from test_golden import STREAM_DESIGNS, _design
 
 
 class TestGaussianSource:
@@ -173,7 +172,7 @@ class TestRowLayout:
     @pytest.mark.parametrize("name", sorted(STREAM_DESIGNS))
     def test_bare_filter_runs_exact_low_with_high_products(self, name):
         args, fs = STREAM_DESIGNS[name]
-        dfilt, _ = digitize_design(_golden_design(*args), fs)
+        dfilt, _ = digitize_design(_design(*args), fs)
         filt = StreamingFilter(dfilt)
         rows = _paired_reference(dfilt.sos)
         assert np.array_equal(filt._sos, rows)
@@ -182,7 +181,7 @@ class TestRowLayout:
 
     def test_odd_count_keeps_one_first_order_row(self):
         args, fs = STREAM_DESIGNS["integer-part-1-48k"]
-        dfilt, _ = digitize_design(_golden_design(*args), fs)
+        dfilt, _ = digitize_design(_design(*args), fs)
         filt = StreamingFilter(dfilt)
         assert len(dfilt.sos) == 7 and filt._sos.shape == (4, 6)
         assert np.array_equal(filt._sos[-1], dfilt.sos[3])
