@@ -1,90 +1,72 @@
 #!/usr/bin/env python3
-"""Run perfbench and write the next BENCH_<n>.json: a record, or a claim's pairs.
+"""Run perfbench on a parent commit and this checkout's HEAD in alternating
+pairs, and write the next BENCH_<n>.json.
 
-    python3 scripts/bench.py
     python3 scripts/bench.py --against REV
 
-From the checkout that holds this script, it runs ``perfbench/run.py`` as it
-stands, with the window length of ``BENCHMARK.json``, one process at a time.
-If a run fails or any output check fails, nothing is written and the exit
-code is 1.  The file goes to the checkout's root and carries the machine's
-core count, the Python, numpy and scipy versions and the git revision.
+The parent, REV, and the change, HEAD, are each checked out with ``git
+worktree add --detach`` into a fresh temporary directory, so no leftover of
+this checkout (its ``.perfbench/`` scratch files, its compiled bytecode)
+reaches either side.  A checkout with uncommitted changes to tracked files is
+refused before any run, since those changes would not be measured.  The
+change tree's ``perfbench/run.py`` runs with the working directory at each
+tree in turn (run.py imports ``src/spectilt`` from there), so one benchmark
+measures both sides, with the window length of ``BENCHMARK.json``, one
+process at a time.
 
-Without ``--against`` it records: every workload once per seed in SEEDS at
-``--trace 0``, then once at ``--trace 1`` on the first seed.  The file holds,
-per workload, the median and quartiles of every end-to-end metric over the
-seeds, the per-layer metrics of the traced run and the operation counts.
-Two such files are run at different times, not in alternating pairs, so they
-record a trajectory but cannot by themselves show a gain on a machine whose
-speed drifts.
+Each workload first runs once per side at ``--trace 1`` on seed S, parent
+first.  These runs compile each tree's bytecode before any paired run, and
+the file holds their per-layer metrics as ``layers``.  Then it runs PAIRS
+pairs, pair i on seed S+i-1 at ``--trace 0``, the parent first on odd pairs
+and the change first on even ones; S is a fresh random seed.  The file holds
+every pair's runs and, per workload and end-to-end metric, each side's
+median and quartiles, the pairs the change won (ties count for neither
+side), the gap between the medians, the parent's interquartile range and the
+verdict: "met" when the change won at least nine in ten of the pairs and its
+median is better than the parent's by more than the parent's interquartile
+range.  It also carries both commits, S, the machine's core count and the
+Python, numpy and scipy versions.  With REV at HEAD the run is an A/A run,
+which measures the spread of the tool itself.
 
-With ``--against REV`` it measures a claim.  REV is checked out with ``git
-worktree add --detach`` into a temporary directory, and this checkout's
-``perfbench/run.py`` runs with the working directory at each tree in turn
-(run.py imports ``src/spectilt`` from there), so one benchmark measures both
-sides.  Every workload runs PAIRS pairs, pair i on seed S+i-1 at ``--trace
-0``, REV first on odd pairs and this checkout first on even ones; S is a
-fresh random seed, recorded in the file.  Before and after each run a fixed
-pure-Python kernel is timed, which imports neither spectilt nor numpy, so
-that a reader can tell a slow spell of the machine from a regression.  The
-file holds every pair's runs and, per workload and end-to-end metric, each
-side's median and quartiles, the pairs the change won (ties count for
-neither side), the gap between the medians, the parent's interquartile
-range and the verdict: "met" when the change won at least nine in ten of
-the pairs and its median is better than the parent's by more than the
-parent's interquartile range.  After its pairs, every workload runs once
-per side at ``--trace 1`` on the first pair's seed, parent first, and the
-file holds each side's per-layer metrics as ``layers``.  The worktree is
-removed at the end.
+The file goes to this checkout's root.  If the checkout is dirty, a run
+fails or any output check fails, nothing is written and the exit code is 1.
+Both worktrees are removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import re
 import secrets
-import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from importlib.metadata import version
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SEEDS = (101, 202, 303)
 WORKLOADS = ("design-grade", "stream-static", "stream-modulated")
+SIDES = ("parent", "change")
 PAIRS = 10
-CONTROL_REPEATS = 5
 
 
-def perfbench(workload: str, seed: int, seconds: float, trace: int, cwd: str = ROOT) -> dict:
-    """One perfbench run from the tree at ``cwd``; its result line parsed."""
-    argv = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    print("bench:", " ".join(argv[2:]), "in", cwd, file=sys.stderr, flush=True)
-    proc = subprocess.run(argv, cwd=cwd, stdout=subprocess.PIPE, text=True)
+def perfbench(run_py: str, tree: str, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
+    """One run of the benchmark ``run_py`` from the tree at ``tree``; its result line parsed."""
+    argv = [sys.executable, run_py, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+    print("bench:", " ".join(argv[2:]), "in", tree, file=sys.stderr, flush=True)
+    proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} trace {trace} exited {proc.returncode}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         raise RuntimeError(f"{workload} seed {seed} trace {trace}: an output check failed")
     return result
-
-
-def control_s() -> float:
-    """Median time of a fixed pure-Python kernel: the machine's speed just now."""
-    times = []
-    for _ in range(CONTROL_REPEATS):
-        t0 = time.perf_counter()
-        acc = 0
-        for i in range(300_000):
-            acc = (acc * 31 + i) % 1_000_003
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
 
 
 def summary(values: list[float]) -> dict:
@@ -98,34 +80,23 @@ def git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def revision() -> str:
-    rev = git("rev-parse", "HEAD")
-    return rev + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
-
-
 def next_path() -> str:
     taken = [int(m.group(1)) for name in os.listdir(ROOT)
              if (m := re.fullmatch(r"BENCH_(\d+)\.json", name))]
     return os.path.join(ROOT, f"BENCH_{max(taken, default=0) + 1}.json")
 
 
-def record(seconds: float) -> dict:
-    """Every workload on SEEDS, plus one traced run each."""
-    out = {"seeds": list(SEEDS), "trace_seed": SEEDS[0], "workloads": {}}
-    for workload in WORKLOADS:
-        runs = [perfbench(workload, seed, seconds, 0) for seed in SEEDS]
-        traced = perfbench(workload, SEEDS[0], seconds, 1)
-        out["workloads"][workload] = {
-            "attempted": [r["attempted"] for r in runs],
-            "failed": [r["failed"] for r in runs],
-            "metrics": {
-                name: {"unit": m["unit"],
-                       **summary([r["metrics"][name]["value"] for r in runs])}
-                for name, m in runs[0]["metrics"].items()
-            },
-            "layers": traced["metrics"],
-        }
-    return out
+@contextlib.contextmanager
+def worktree(commit: str):
+    """A detached checkout of ``commit`` in a fresh temporary directory,
+    removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="bench-") as scratch:
+        tree = os.path.join(scratch, "tree")
+        git("worktree", "add", "--detach", tree, commit)
+        try:
+            yield tree
+        finally:
+            git("worktree", "remove", "--force", tree)
 
 
 def verdict(parent: list[float], change: list[float], better: str) -> dict:
@@ -142,77 +113,66 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
             "verdict": "met" if met else "not met", "parent": p, "change": c}
 
 
-def measure_pairs(tree: str, first_seed: int, seconds: float) -> dict:
-    """Alternating parent/change runs of each workload, and their verdicts."""
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+def measure(trees: dict, better: dict, first_seed: int, seconds: float) -> dict:
+    """Each workload's traced runs, then its alternating pairs and their verdicts."""
+    run_py = os.path.join(trees["change"], "perfbench", "run.py")
     seeds = [first_seed + i for i in range(PAIRS)]
-    trees = {"parent": tree, "change": ROOT}
-    out = {"seeds": seeds, "workloads": {}}
+    out = {"first_seed": first_seed, "seeds": seeds, "workloads": {}}
     for workload in WORKLOADS:
+        layers = {side: perfbench(run_py, trees[side], workload, seeds[0], seconds, 1)["metrics"]
+                  for side in SIDES}
         rows = []
         for i, seed in enumerate(seeds):
-            row = {"seed": seed, "first": "parent" if i % 2 == 0 else "change"}
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            row = {"seed": seed, "first": order[0]}
             for side in order:
-                before = control_s()
-                result = perfbench(workload, seed, seconds, 0, trees[side])
+                result = perfbench(run_py, trees[side], workload, seed, seconds, 0)
                 row[side] = {"attempted": result["attempted"], "failed": result["failed"],
-                             "control_s": [before, control_s()],
                              "metrics": {name: m["value"]
                                          for name, m in result["metrics"].items()}}
             rows.append(row)
-        names = [name for name in rows[0]["parent"]["metrics"] if name in better]
         out["workloads"][workload] = {
             "pairs": rows,
             "metrics": {name: verdict([r["parent"]["metrics"][name] for r in rows],
                                       [r["change"]["metrics"][name] for r in rows],
-                                      better[name]) for name in names},
-            "control_s": {side: summary([t for r in rows for t in r[side]["control_s"]])
-                          for side in trees},
-            "layers": {side: perfbench(workload, seeds[0], seconds, 1, trees[side])["metrics"]
-                       for side in trees},
+                                      better[name])
+                        for name in rows[0]["parent"]["metrics"] if name in better},
+            "layers": layers,
         }
     return out
 
 
-def against(rev: str, seconds: float) -> dict:
-    """measure_pairs with REV checked out in a temporary worktree, from a
-    fresh random seed."""
-    first_seed = secrets.randbelow(1 << 30)
-    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    scratch = tempfile.mkdtemp(prefix="bench-against-")
-    tree = os.path.join(scratch, "tree")
-    git("worktree", "add", "--detach", tree, commit)
-    try:
-        out = measure_pairs(tree, first_seed, seconds)
-    finally:
-        git("worktree", "remove", "--force", tree)
-        shutil.rmtree(scratch, ignore_errors=True)
-    return {"against": commit, "first_seed": first_seed, **out}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", metavar="REV",
-                        help="measure this checkout against REV in alternating pairs")
+    parser.add_argument("--against", metavar="REV", required=True,
+                        help="the parent commit to measure HEAD against")
     args = parser.parse_args(argv)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        seconds = json.load(fh)["run_seconds"]
+    try:
+        if git("status", "--porcelain", "--untracked-files=no"):
+            raise RuntimeError("uncommitted changes to tracked files would not be measured")
+        commits = {"parent": git("rev-parse", "--verify", f"{args.against}^{{commit}}"),
+                   "change": git("rev-parse", "HEAD")}
+        with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+            benchmark = json.load(fh)
+        better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+        with contextlib.ExitStack() as stack:
+            trees = {side: stack.enter_context(worktree(commits[side])) for side in SIDES}
+            measured = measure(trees, better, secrets.randbelow(1 << 30),
+                               benchmark["run_seconds"])
+    except (RuntimeError, ValueError, KeyError, subprocess.CalledProcessError) as exc:
+        print(f"bench: {exc}; nothing written", file=sys.stderr)
+        return 1
     out = {
-        "revision": revision(),
+        "revision": commits["change"],
+        "against": commits["parent"],
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": version("numpy"),
         "scipy": version("scipy"),
-        "seconds": seconds,
+        "seconds": benchmark["run_seconds"],
+        **measured,
     }
-    try:
-        out.update(record(seconds) if args.against is None else against(args.against, seconds))
-    except (RuntimeError, ValueError, KeyError, subprocess.CalledProcessError) as exc:
-        print(f"bench: {exc}; nothing written", file=sys.stderr)
-        return 1
     path = next_path()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)

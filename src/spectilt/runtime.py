@@ -40,7 +40,7 @@ import numpy as np
 
 from .design import BandSpec, TiltDesign, design_tilt
 from .digitize import DigitalFilter, ModulationContext, digitize_design
-from .errors import OutOfRangeError
+from .errors import AboveNyquistError, OutOfRangeError
 
 DEFAULT_BAND = BandSpec(20.0, 20000.0)
 
@@ -250,6 +250,11 @@ def _noise_blocks(alpha: float, seed: int, n_samples: int, fs_hz: float,
     if n < 1:
         raise OutOfRangeError(f"need at least one sample, got {n_samples}")
     design = design_tilt(alpha, f_min_hz=band.f_min_hz, f_max_hz=band.f_max_hz)
+    # digitize_design would clamp the band's top zeros below fs/2 without a
+    # word.  Written so that an infinite fs passes on to its own message.
+    if not band.f_max_hz < 0.5 * fs_hz:
+        raise AboveNyquistError(f"band edge f_max={band.f_max_hz!r} Hz is not below "
+                                f"fs/2={0.5 * fs_hz!r} Hz")
     filt = StreamingFilter.for_design(design, fs_hz)
     rng = GaussianSource(seed)._rng
     buffer = np.empty(min(block, n))

@@ -110,6 +110,9 @@ EXIT_2 = {
     "digitize-fs=inf": ("digitize --design {d} -o {y} --fs inf", INF_FS),
     "apply-fs=inf": ("apply --design {d} -i {x} -o {y} --fs inf", INF_FS),
     "noise-fs=inf": ("noise --samples 64 -o {y} --fs inf", INF_FS),
+    # Not clamped below fs/2 without a word.
+    "noise-fmax=30000": ("noise --samples 64 -o {y} --fs 48000 --fmax 30000",
+                         "band edge f_max=30000.0 Hz is not below fs/2=24000.0 Hz"),
     # Overflows that must exit 2 without a numpy RuntimeWarning.
     "ladder-overflow": (WIDE + "1e308 -o {y}", "reaches 10^462.0 Hz"),
     "fmax=1e200": (WIDE + "1e200 -o {y}", "reaches 10^300.0 Hz"),
@@ -594,6 +597,7 @@ class TestNoiseCommand:
         assert path.read_bytes() == _per_chunk_reference(filt, chunks)
 
     test_no_samples_exits_2_with_no_output = contract("samples=0", "samples=-5", ids=["0", "-5"])
+    test_band_edge_past_nyquist_exits_2_with_no_output = contract("noise-fmax=30000")
 
 
 class TestInfiniteSampleRate:

@@ -8,6 +8,7 @@ from scipy.signal import lfilter, sosfilt
 
 from spectilt import runtime
 from spectilt import (
+    AboveNyquistError,
     BandSpec,
     DigitalFilter,
     GaussianSource,
@@ -328,3 +329,9 @@ class TestNoise:
     def test_needs_samples(self):
         with pytest.raises(OutOfRangeError):
             colored_noise(-0.5, seed=0, n_samples=0, fs_hz=48000.0)
+
+    @pytest.mark.parametrize("f_max", [24000.0, 30000.0])
+    def test_band_edge_at_or_past_nyquist_rejected(self, f_max):
+        with pytest.raises(AboveNyquistError, match="is not below fs/2=24000.0 Hz"):
+            colored_noise(-0.5, seed=0, n_samples=64, fs_hz=48000.0,
+                          band=BandSpec(20.0, f_max))
