@@ -330,7 +330,3 @@ def main(argv=None) -> int:
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
         print(f"spectilt: internal error: {what} ({where})".replace("\n", " "), file=sys.stderr)
         return INTERNAL_ERROR
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

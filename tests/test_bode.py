@@ -1,7 +1,5 @@
 import io
 import math
-import os
-import runpy
 
 import numpy as np
 import pytest
@@ -29,7 +27,6 @@ from conftest import random_band
 from test_golden import _design, _grid
 
 TWO_PI = 2.0 * math.pi
-SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
 
 
 def random_filter(rng, n_max=40):
@@ -375,21 +372,6 @@ class TestConjectureConvergence:
         # ladder whose squared frequencies would overflow.
         with pytest.raises(InvalidBandError, match="band too wide"):
             conjecture_convergence(-0.5, [1e10], BandSpec(1.0, 1e200))
-
-
-class TestConvergenceTableScript:
-    def test_two_rows_with_falling_columns(self, monkeypatch, capsys):
-        script = runpy.run_path(os.path.join(SCRIPTS, "convergence_table.py"))
-        monkeypatch.setattr("sys.argv", ["convergence_table.py", "--alphas", "-0.5",
-                                         "--ratios", "2", "1.5"])
-        assert script["main"]() == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "alpha = -0.500"
-        rows = [[float(v) for v in line.split()] for line in lines[2:]]
-        assert [r for r, _, _ in rows] == [2.0, 1.5]
-        (_, mag_a, phase_a), (_, mag_b, phase_b) = rows
-        assert mag_a > mag_b > 0.0
-        assert phase_a > phase_b > 0.0
 
 
 class TestCsv:
