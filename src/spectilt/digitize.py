@@ -200,7 +200,7 @@ def _prewarped_roots(filt: AnalogFilter, c: float, fs_hz: float,
     if band.center_hz >= 0.5 * fs_hz:
         raise AboveNyquistError(f"band center {band.center_hz} Hz is not below fs/2")
     wc = -float(_prewarp(TWO_PI * band.center_hz, c, fs_hz))
-    gain = math.exp(_log_mag(prew_poles, wc) - _log_mag(prew_zeros, wc))
+    gain = _leveling_gain(_log_mag(prew_poles, wc) - _log_mag(prew_zeros, wc), "band center")
     return prew_poles, prew_zeros, gain
 
 

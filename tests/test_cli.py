@@ -62,6 +62,12 @@ HUGE_BAND = design_to_json(design_tilt(0.0, order=2, skip=0, f_min_hz=1e96, f_ma
 # high edge's overflows from slope 0 up (e^739.29 at 0, e^739.59 at 1).
 HUGE_TILT = design_tilt(-0.5, order=2, skip=0, f_min_hz=1e96, f_max_hz=1e106, integer_part=-3)
 HUGE_SWEPT = "apply --design {d} --fs 3e106 -i {x} -o {y} --alpha-sweep="
+# design --alpha -0.5 --order 2 --skip 0 --fmin 1e100 --fmax 1e106 --integer-part -3:
+# its center gain, e^709.758, fits a float, but at 3e106 Hz the prewarped
+# center's does not.
+HUGE_CENTER = design_to_json(design_tilt(-0.5, order=2, skip=0, f_min_hz=1e100,
+                                         f_max_hz=1e106, integer_part=-3)).encode()
+CENTER_OVERFLOW = "levels the band center at unity, e^716.77, overflows float64"
 
 # Each row is an argv that must exit 2 with one "spectilt:" line holding the
 # message, no stdout bytes and no output file.  In argv, {d} is the given
@@ -98,6 +104,8 @@ EXIT_2 = {
     "edge-gain-overflow": ("apply --design {x} --fs 3e106 -i {c} -o {y}",
                            "levels the louder band edge at unity, e^739.29, overflows float64",
                            HUGE_BAND),
+    "apply-center-gain-overflow": ("apply --design {x} --fs 3e106 -i {c} -o {y}",
+                                   CENTER_OVERFLOW, HUGE_CENTER),
     # The sweep crosses slope 0 in its second chunk; its end, slope 1, needs
     # the largest gain.
     "sweep-gain-overflow": (HUGE_SWEPT + "-0.5:1:6.8e-102", "e^739.59, overflows float64",
@@ -145,6 +153,8 @@ EXIT_2 = {
     "fs-tangent-underflow": ("digitize --design {x} --fs 9.24e300 -o {y}",
                              "sample rate 9.24e+300 Hz is too large", design_to_json(design_tilt(
                                  0.0, order=24, skip=11, f_min_hz=0.0139, f_max_hz=207.6)).encode()),
+    "digitize-center-gain-overflow": ("digitize --design {x} --fs 3e106 -o {y}",
+                                      CENTER_OVERFLOW, HUGE_CENTER),
     "digitize-improper": ("digitize --design {x} --fs 48000", "more zeros than poles",
                           design_to_json(design_tilt(0.5, integer_part=1)).encode()),
     "orders=5:7-skips=2:2": ("sweep --alpha -0.5 --orders 5:7 --skips 2:2",
@@ -312,6 +322,7 @@ class TestDigitizeCommand:
     test_low_sample_rate_exits_2 = contract("digitize-fs=150")
     test_improper_design_exits_2 = contract("digitize-improper")
     test_underflowing_tangent_exits_2 = contract("fs-tangent-underflow")
+    test_center_gain_overflow_exits_2 = contract("digitize-center-gain-overflow")
 
 
 def _edited_design(tmp_path, capsys, edit):
@@ -355,6 +366,7 @@ class TestApplyCommand:
         *(f"sweep={s}" for s in BAD_SWEEPS), ids=BAD_SWEEPS)
     test_partial_sample_file_exits_2_before_output = contract("partial-file")
     test_edge_gain_overflow_exits_2_before_output = contract("edge-gain-overflow")
+    test_center_gain_overflow_exits_2_before_output = contract("apply-center-gain-overflow")
     test_sweep_gain_overflow_exits_2_before_output = contract(
         "sweep-gain-overflow", "sweep-start-gain-overflow", ids=["crosses-0", "start"])
     test_late_nan_file_exits_2_before_output = contract(
