@@ -7,10 +7,10 @@ every other break is prewarped beforehand by the same tangent map (see
 _prewarp), which lands all digital breaks exactly on the analog design's
 break ladder.  Poles are truncated so that one full spacing interval remains
 below the Nyquist limit, leaving room for the top zero to slide as the slope
-is modulated; any zero whose prewarped break would still meet fs/2 is clamped
-just below it.  The zeros are prewarped once per design (_prewarped_roots) or
-slope value (ModulationContext.rebuild), and _numerators is the one formula
-that maps them to section numerators, for one slope or a batch of them.
+is modulated; a zero past the digital image of the zero cap, near 0.319*fs
+(not just below fs/2), lands there.  The zeros are prewarped once per design
+(_prewarped_roots) or slope value (ModulationContext.rebuild), and the one
+formula _numerators maps them to section numerators, for one slope or many.
 
 One leveling formula, the gain exp(P - Z) from the one-sided sums of
 _log_mag, puts a coefficient file at unity at the prewarped band
@@ -42,7 +42,8 @@ from .errors import (
 )
 from .serialize import REAL_FORMAT, emit_object, f17, parse_object, real
 
-# Prewarped zero breaks at or above fs/2 are pinned to this fraction of fs.
+# Caps a prewarped zero's |s| at 2*pi*0.499*fs, an image near 0.319*fs; band
+# edges at or above fs/2 are pinned at 0.499*fs in Hz (see digitize_design).
 ZERO_CLAMP_FRACTION = 0.499
 # Where a stream's gain puts |H| at unity (see ModulationContext).
 _EDGE = "louder band edge"
@@ -170,16 +171,18 @@ def _log_mag(roots: np.ndarray, omega):
 
 
 def _prewarp_zeros(zeros_rad_s: np.ndarray, c: float, fs_hz: float) -> np.ndarray:
-    """Prewarp zeros, pinning any break at or above fs/2 just below it."""
+    """Prewarp zeros, capping each |s| at 2*pi*ZERO_CLAMP_FRACTION*fs, whose
+    digital image (fs/pi)*atan(2*pi*0.499*fs/c) is about 0.319*fs: a zero whose
+    break lies at or above it lands there (14 079 Hz at 44.1 kHz)."""
     return np.fmax(_prewarp(zeros_rad_s, c, fs_hz), -TWO_PI * ZERO_CLAMP_FRACTION * fs_hz)
 
 
 def _prewarped_roots(filt: AnalogFilter, c: float, fs_hz: float,
                      band: BandSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """(poles, zeros, gain) of the truncated, prewarped filter whose zeros are
-    clamped below fs/2, leveled at unity at the prewarped band center, where
-    every design is unity.  Not checked as an AnalogFilter: digitize_design
-    maps the arrays, and DigitalFilter checks the sections they give."""
+    capped by _prewarp_zeros, leveled at unity at the prewarped band center,
+    where every design is unity.  Not checked as an AnalogFilter:
+    digitize_design maps the arrays, and DigitalFilter checks their sections."""
     if len(filt.zeros) > len(filt.poles):
         raise UnstableMapError(
             "more zeros than poles: the substitution would place digital poles at z=-1; "
@@ -339,7 +342,8 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
                               f"{-design.filt.poles[0] / TWO_PI:g} Hz break: its section "
                               "pole rounds onto z = 1")
     # The prototype axis runs to infinity; only band edges at or above
-    # Nyquist have no image and fall back to the clamp point.
+    # Nyquist have no image.  They are pinned at 0.499*fs in Hz before
+    # prewarping, so unlike a capped zero their image is just below fs/2.
     edges_hz = np.minimum([design.band.f_min_hz, design.band.f_max_hz],
                           ZERO_CLAMP_FRACTION * fs_hz)
     level_low, level_high = (-_prewarp(TWO_PI * edges_hz, c, fs_hz)).tolist()

@@ -250,8 +250,8 @@ def _noise_blocks(alpha: float, seed: int, n_samples: int, fs_hz: float,
     if n < 1:
         raise OutOfRangeError(f"need at least one sample, got {n_samples}")
     design = design_tilt(alpha, f_min_hz=band.f_min_hz, f_max_hz=band.f_max_hz)
-    # digitize_design would clamp the band's top zeros below fs/2 without a
-    # word.  Written so that an infinite fs passes on to its own message.
+    # digitize_design would cap the band's top zeros near 0.319*fs without
+    # a word.  Written so that an infinite fs passes on to its own message.
     if not band.f_max_hz < 0.5 * fs_hz:
         raise AboveNyquistError(f"band edge f_max={band.f_max_hz!r} Hz is not below "
                                 f"fs/2={0.5 * fs_hz!r} Hz")

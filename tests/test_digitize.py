@@ -144,7 +144,7 @@ class TestPrewarpBreak:
 
     def test_above_nyquist(self):
         # Breaks at or above fs/2 have no image; the map rejects such poles
-        # and clamps such zeros.
+        # and caps such zeros at the prewarped 2*pi*0.499*fs.
         assert math.isnan(prewarp_break(24000.0, 100.0, 48000.0))
         assert math.isnan(prewarp_break(30000.0, 100.0, 48000.0))
         c = prewarp_constant(100.0, 48000.0)
@@ -281,8 +281,9 @@ class TestBilinear:
             digitize_design(design, 48000.0)
 
     def test_zero_clamping_keeps_order(self):
-        # alpha = -1 slides the top zero onto the next pole break, whose
-        # prewarped position can cross fs/2; it must clamp, not blow up.
+        # alpha = -1 slides the top zero onto the next pole break, 20 kHz,
+        # below fs/2 but past the cap's digital image, 15 324 Hz at 48 kHz;
+        # it must clamp, not blow up.
         design = design_tilt(-1.0)
         dfilt, _ = digitize_design(design, 48000.0)
         proto = prewarped_prototype(design, 48000.0)
@@ -410,12 +411,22 @@ class TestModulationContext:
                 self.assert_rows_are_rebuilds(ctx, [-1.0, 0.0, 1.0, -0.0, -0.37, 0.5])
 
     def test_batched_rows_are_rebuilds_through_the_clamp(self):
-        # The stock design's top zero clamps below fs/2 at 48 kHz from
-        # alpha = -1 up past -0.5; one 64 Ki-sample read's 1024 slopes.
+        # The stock design's top zero is capped at 48 kHz from alpha = -1 up
+        # past -0.5; one 64 Ki-sample read's 1024 slopes.
         _, ctx = digitize_design(design_tilt(-0.5), 48000.0)
         top = _prewarp_zeros(_slide_zeros(ctx.zero_anchors, ctx.ratio, -0.5), ctx.c, 48000.0)[-1]
         assert top == -TWO_PI * ZERO_CLAMP_FRACTION * 48000.0
         self.assert_rows_are_rebuilds(ctx, np.linspace(-1.0, 1.0, 1024).tolist())
+        # The cap is on the prewarped |s|: its digital image is near 0.319*fs,
+        # not just below fs/2.  The stock top zero, at 15 334 Hz, lands there.
+        for fs, image_hz in ((44100.0, 14079.3), (48000.0, 15324.4)):
+            dfilt, ctx = digitize_design(design_tilt(-0.5), fs)
+            b0, b1 = dfilt.sos[-1, :2]
+            z = -b1 / b0  # the top section's zero, whose |s| is c*(1 - z)/(1 + z)
+            f = fs / math.pi * math.atan((1.0 - z) / (1.0 + z))
+            assert f == pytest.approx(image_hz, abs=0.1)
+            assert f == pytest.approx(
+                fs / math.pi * math.atan(TWO_PI * ZERO_CLAMP_FRACTION * fs / ctx.c), rel=1e-12)
 
     def test_batched_rows_come_in_capped_groups(self):
         # 2000 sections: _BATCH_COEFFS // 2000 slopes per group, so two
