@@ -15,9 +15,9 @@ measures both sides, with the window length of ``BENCHMARK.json``, one
 process at a time.
 
 Each workload first runs once per side at ``--trace 1`` on seed S, parent
-first, and the file holds their per-layer metrics as ``layers``.  These runs
-write no bytecode where PYTHONDONTWRITEBYTECODE is set, so there every cold
-CLI command of every run compiles the package from source.  Then it runs PAIRS
+first, and the file holds their per-layer metrics as ``layers``.  Where
+PYTHONDONTWRITEBYTECODE is set no run writes bytecode, so every cold CLI
+command compiles the package from source.  Then it runs PAIRS
 pairs, pair i on seed S+i-1 at ``--trace 0``, the parent first on odd pairs
 and the change first on even ones; S is a fresh random seed.  The file holds
 every pair's runs and, per workload and end-to-end metric, each side's
