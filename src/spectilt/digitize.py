@@ -47,10 +47,11 @@ from .serialize import REAL_FORMAT, emit_object, f17, parse_object, real
 ZERO_CLAMP_FRACTION = 0.499
 # Where a stream's gain puts |H| at unity (see ModulationContext).
 _EDGE = "louder band edge"
-# Coefficients one group of a batched rebuild holds, whatever the order: an
-# order-10 000 design rebuilds one slope per group, not a 1024-row array.  A
-# group's temporaries also set the peak memory of apply --alpha-sweep; the
-# stock 16 sections take 256 slopes per group.
+# Cap on a batched rebuild group's sections times slopes: the stock 16
+# sections take 256 slopes per group.  A group holds at least one slope, so
+# a design that keeps more sections than the cap (order 5000 keeps 5000 at
+# 48 kHz) rebuilds one slope per group, over the cap.  A group's temporaries
+# also set the peak memory of apply --alpha-sweep.
 _BATCH_COEFFS = 1 << 12
 
 
@@ -238,9 +239,10 @@ class ModulationContext:
     tilt across the band spans (f_max/f_min)**|alpha| in gain, so any
     interior anchor would let a band edge run tens of dB hot as |alpha|
     approaches 1, while edge anchoring caps the in-band gain at one for
-    every slope.  The pole half P of exp(P - Z) is fixed per anchor, so
-    ``digitize_design`` computes it once from the prewarped poles
-    (``pole_log_mag_low/high``); the poles themselves are not kept.
+    every slope.  The pole half P of exp(P - Z) is fixed per edge, so
+    ``digitize_design`` computes it once from the prewarped poles: ``edges``
+    holds (anchor omega, P) for the low edge, then the high one.  The poles
+    themselves are not kept.
     """
 
     zero_anchors: np.ndarray
@@ -248,10 +250,7 @@ class ModulationContext:
     c: float
     fs_hz: float
     section_dens: np.ndarray
-    level_omega_low: float
-    level_omega_high: float
-    pole_log_mag_low: float
-    pole_log_mag_high: float
+    edges: tuple[tuple[float, float], tuple[float, float]]
 
     def rebuild(self, alpha: float):
         """New (b0, b1, gain) for a slope value; denominators are untouched."""
@@ -278,8 +277,8 @@ class ModulationContext:
         rebuild's bit for bit: every step works elementwise, the slide takes
         one Python float power per slope, and each slope's log-sum runs along
         its own contiguous row, as rebuild's does.  Every slope is checked
-        before the first row; a group holds at most _BATCH_COEFFS
-        coefficients."""
+        before the first row; a group holds _BATCH_COEFFS // sections slopes,
+        or one if the design keeps more than _BATCH_COEFFS sections."""
         alphas = [float(alpha) for alpha in alphas]
         levels = [self._edge_level(alpha) for alpha in alphas]
         sections = len(self.section_dens)
@@ -302,9 +301,7 @@ class ModulationContext:
         a slope outside [-1, 1] raises OutOfRangeError."""
         if not -1.0 <= alpha <= 1.0:
             raise OutOfRangeError(f"alpha must lie in [-1, 1], got {alpha}")
-        if alpha < 0.0:
-            return self.level_omega_low, self.pole_log_mag_low
-        return self.level_omega_high, self.pole_log_mag_high
+        return self.edges[alpha >= 0.0]
 
     def _check_slopes(self, a0: float, a1: float) -> None:
         """Raise as rebuild would if any slope from a0 to a1 is out of range
@@ -346,17 +343,14 @@ def digitize_design(design: TiltDesign, fs_hz: float) -> tuple[DigitalFilter, Mo
     # prewarping, so unlike a capped zero their image is just below fs/2.
     edges_hz = np.minimum([design.band.f_min_hz, design.band.f_max_hz],
                           ZERO_CLAMP_FRACTION * fs_hz)
-    level_low, level_high = (-_prewarp(TWO_PI * edges_hz, c, fs_hz)).tolist()
     context = ModulationContext(
-        zero_anchors=design.geometric_poles[:len(prew_zeros)].copy(),
+        zero_anchors=design.geometric_poles[:len(prew_zeros)],
         ratio=design.placement.r,
         c=c,
         fs_hz=fs_hz,
         section_dens=section_dens,
-        level_omega_low=level_low,
-        level_omega_high=level_high,
-        pole_log_mag_low=float(_log_mag(prew_poles, level_low)),
-        pole_log_mag_high=float(_log_mag(prew_poles, level_high)),
+        edges=tuple((omega, float(_log_mag(prew_poles, omega)))
+                    for omega in (-_prewarp(TWO_PI * edges_hz, c, fs_hz)).tolist()),
     )
     sos = _first_order_sos(0.0, 0.0, a1)  # numerators written into its columns
     _numerators(prew_zeros, c, section_dens, sos[:, 0], sos[:, 1])

@@ -148,7 +148,6 @@ class StreamingFilter:
         # The first-order a1 of every section, in section order.
         self._a1 = digital.sos[:, 4]
         self._gain = digital.gain
-        self._fs = digital.sample_rate_hz
         self._mod: ModulationContext | None = None
 
     def _use_rows(self, sos: np.ndarray) -> None:
@@ -162,7 +161,7 @@ class StreamingFilter:
         """Build from a design, keeping the context needed for set_alpha: the
         one way to get a filter that set_alpha can drive."""
         digital, context = digitize_design(design, fs_hz)
-        out = cls(digital)
+        out = cls.__new__(cls)  # no paired rows: __init__ would build them
         # First-order rows, whose states carry the numerator swaps of
         # set_alpha; paired rows would not (see the module docstring).  A
         # writable copy: set_alpha rewrites the numerator columns in place.
@@ -170,13 +169,9 @@ class StreamingFilter:
         out._a1 = out._sos[:, 4]  # denominators reads the live rows
         out._mod = context
         # The numerators are already rebuild's at the design slope; this only
-        # moves the gain from the file's band-center level to the edge level.
+        # sets the gain, at the edge level rather than the file's band center.
         out.set_alpha(design.spec.alpha)
         return out
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self._fs
 
     @property
     def gain(self) -> float:
@@ -227,10 +222,11 @@ def _swept_blocks(filt: StreamingFilter, chunks, schedule, block: int):
     in batched calls and written into the cascade block by block; each block
     is checked as process checks it.  Every chunk but the last must hold
     whole control blocks."""
+    fs_hz = filt._mod.fs_hz
     pos = 0
     for x in chunks:
         starts = range(0, len(x), block)
-        rows = filt._mod._rebuild_rows([schedule((pos + start) / filt._fs) for start in starts])
+        rows = filt._mod._rebuild_rows([schedule((pos + start) / fs_hz) for start in starts])
         for start, (numerators, gain) in zip(starts, rows):
             filt._sos[:, :2] = numerators
             filt._gain = gain

@@ -101,6 +101,13 @@ class TestLogMagSlope:
             fd = (filt.log_magnitude(math.exp(wt + h)) - filt.log_magnitude(math.exp(wt - h))) / (2 * h)
             assert log_mag_slope(filt, math.exp(wt)) == pytest.approx(float(fd), abs=1e-6)
 
+    @pytest.mark.parametrize("omega", [0.0, -1.0, np.array([1.0, 0.0]), np.array([1.0, -2.0])],
+                             ids=["zero", "negative", "array-zero", "array-negative"])
+    def test_non_positive_omega_rejected(self, omega):
+        filt = AnalogFilter(poles=[-1.0], zeros=[], gain=1.0)
+        with pytest.raises(OutOfRangeError, match="omega must be positive"):
+            log_mag_slope(filt, omega)
+
     def test_superposition(self, rng):
         fa, _ = random_filter(rng, n_max=10)
         fb, _ = random_filter(rng, n_max=10)
@@ -257,6 +264,11 @@ class TestSlopeReport:
         with pytest.raises(BadGoodBandError):
             slope_report(filt, spec, placement, 20, 10)
 
+    def test_negative_skip_rejected(self, unit_ladder):
+        spec, placement, filt = unit_ladder
+        with pytest.raises(OutOfRangeError, match="skip count must be >= 0, got -1"):
+            slope_report(filt, spec, placement, 20, -1)
+
     def test_points_per_interval_bound(self, unit_ladder):
         # Checked before the grid is built, so a one-point grid names the bound.
         spec, placement, filt = unit_ladder
@@ -305,6 +317,11 @@ class TestExtremaRefinement:
         assert len(found) == 1
         assert found[0][0] == pytest.approx(0.503, abs=1e-9)
         assert found[0][1] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("y", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0)], ids=["flat", "linear"])
+    def test_no_curvature_returns_the_middle_sample(self, y):
+        # y0 - 2*y1 + y2 == 0: no vertex, so the middle sample stands.
+        assert bode._refine_extremum(2.0, 0.5, *y) == (2.5, y[1])
 
 
 class TestConjectureConvergence:

@@ -129,6 +129,7 @@ EXIT_2 = {
                  "sample rate 1e+200 Hz is too high to resolve the 4.06184 Hz break"),
     "order-5-skip-2": ("design --alpha 0.3 --order 5 --skip 2", "no interval left for the band"),
     "alpha=1.5": ("design --alpha 1.5", "alpha must lie in [-1, 1]"),
+    "skip=-1": ("design --alpha -0.5 --skip -1", "skip count must be >= 0, got -1"),
     # f_min*f_max underflows to 0, so the band has no center to level at.
     "band-underflow": ("design --alpha -0.5 --order 4 --skip 1 --fmin 1e-200 --fmax 1e-180",
                        "band too low: at its center, 1e-190 Hz"),
@@ -240,6 +241,7 @@ class TestDesignCommand:
 
     test_degenerate_order_exits_2 = contract("order-5-skip-2")
     test_alpha_out_of_range_exits_2 = contract("alpha=1.5")
+    test_negative_skip_exits_2 = contract("skip=-1")
     test_order_past_bound_exits_2 = contract("order=1e13")
     test_underflowing_band_exits_2 = contract("band-underflow")
     test_underflowing_center_exits_2 = contract("center-underflow")

@@ -242,6 +242,10 @@ class TestMakeAnalogFilter:
         filt = make_analog_filter(SlopeSpec(-1.0), PlacementResult(1.0 / TWO_PI, 2.0), 3)
         assert np.array_equal(filt.zeros[:-1], filt.poles[1:])
 
+    def test_needs_a_pole(self):
+        with pytest.raises(OutOfRangeError, match="need at least one pole, got n=0"):
+            make_analog_filter(SlopeSpec(-0.5), PlacementResult(5.0, 3.0), 0)
+
     def test_constant_ratio(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 40))
@@ -533,6 +537,10 @@ class TestValueEquality:
         for a, b in zip(by_value, value_twins):
             assert (a == b) is True
             assert (a != b) is False
+            # A foreign type is not ours to compare: Python falls back to identity.
+            assert type(a).__eq__(a, "x") is NotImplemented
+            assert (a == "x") is False
+            assert (a != "x") is True
         for a, b in zip(by_identity, identity_twins):
             assert (a == a) is True
             assert (a == b) is False

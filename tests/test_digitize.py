@@ -440,6 +440,13 @@ class TestModulationContext:
         groups = {id(numerators.base) for numerators, _ in rows}
         assert len(groups) == 3
         assert rows[0][0].base.shape == (sections, 2, group)
+        # More sections than the cap: each group holds one slope, over the cap.
+        _, ctx = digitize_design(design_tilt(0.2, order=5000), 48000.0)
+        sections = len(ctx.section_dens)
+        assert sections == 5000 > _BATCH_COEFFS
+        rows = self.assert_rows_are_rebuilds(ctx, [0.9, 0.0, -0.9])
+        assert len({id(numerators.base) for numerators, _ in rows}) == 3
+        assert all(numerators.base.shape == (sections, 2, 1) for numerators, _ in rows)
 
     @pytest.mark.parametrize("bad", [1.5, -1.0000000000000002, math.nan])
     def test_batched_rows_check_every_slope_first(self, default_design, bad):
@@ -585,7 +592,7 @@ class TestLevelingPrecision:
                 half = np.abs(ctx.zero_anchors * ctx.ratio ** (-alpha)) / (2.0 * fs)
                 zeros = np.where(half < 0.5 * math.pi,
                                  np.maximum(-c * np.tan(half), clamp), clamp)
-                anchor = ctx.level_omega_low if alpha < 0.0 else ctx.level_omega_high
+                anchor = ctx.edges[0 if alpha < 0.0 else 1][0]
                 level = AnalogFilter(poles=poles, zeros=zeros, gain=gain)
                 worst = max(worst, abs(float(level.log_magnitude(anchor))))
         assert worst < 1e-12
